@@ -27,7 +27,7 @@ at ``n=13, t=4``), which carries the acceptance gates: the fast engine must
 be ≥ 5× the reference end-to-end, the numpy engine ≥ 2× the fast engine, and
 the batched executor ≥ 1.5× the per-processor numpy engine — while at the
 small ``n=7, t=2`` Exponential cell batched must not lose to the fast engine
-(the small-level crossover).  The perf smoke test
+(the small-level crossover), and no cell may show batched slower than numpy.  The perf smoke test
 (``benchmarks/test_perf_smoke.py``) re-checks a small grid against this
 recording.  Use ``--engine`` (repeatable) to time a subset of engines.
 """
@@ -351,6 +351,11 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
                   f"({'PASS' if vs_numpy >= 1.5 else 'FAIL'} vs the 1.5x "
                   f"gate)")
     for row in report["rows"]:
+        vs_numpy = row.get("batched_vs_numpy")
+        if vs_numpy is not None and vs_numpy < 1:
+            print(f"batched vs numpy: {row['protocol']} n={row['n']} "
+                  f"t={row['t']} {vs_numpy}x (FAIL vs the batched >= numpy "
+                  f"gate)")
         if (row["protocol"], row["n"], row["t"]) == CROSSOVER:
             crossover = row.get("batched_vs_fast")
             if crossover is not None:

@@ -25,7 +25,8 @@ gated on:
    the Exponential headline cell, ≥ 2× numpy-vs-fast, and — when the
    recording includes the batched executor — ≥ 1.5× batched-vs-numpy at the
    headline plus no small-level crossover: batched not slower than fast at
-   the Exponential ``n=7, t=2`` cell), and with ``REPRO_PERF_STRICT=1`` a
+   the Exponential ``n=7, t=2`` cell, and batched not slower than numpy at
+   any recorded cell that times both), and with ``REPRO_PERF_STRICT=1`` a
    fresh measurement of the smoke grid must come in under 1.5× its recorded
    fast-engine baseline (opt-in because absolute times are
    machine-dependent).  When the recording times the **sharded run
@@ -215,6 +216,29 @@ def test_recorded_baseline_shows_no_small_level_crossover():
     assert ratio >= 1, (
         f"recorded batched executor is {ratio}x the fast engine at "
         f"Exponential n=7,t=2 — the small-level crossover is back")
+
+
+def test_recorded_batched_never_loses_to_numpy():
+    """Recorded batched time must not lose to numpy at any shared cell.
+
+    Whole-run batching exists to beat the per-processor numpy engine; the
+    large-``n`` cells, where the level stacks outgrow cache, are where it
+    used to lose.  Every recorded cell that times both engines must show
+    ``batched_vs_numpy ≥ 1``.
+    """
+    report = load_recorded_perf()
+    if report is None:
+        pytest.skip("BENCH_perf.json not recorded yet (run benchmarks/bench_perf.py)")
+    rows = [row for row in report.get("rows", [])
+            if row.get("batched_vs_numpy") is not None]
+    if not rows:
+        pytest.skip("recorded BENCH_perf.json times no cell under both the "
+                    "batched executor and the numpy engine")
+    for row in rows:
+        assert row["batched_vs_numpy"] >= 1, (
+            f"recorded batched executor is {row['batched_vs_numpy']}x the "
+            f"per-processor numpy engine at {row['protocol']} "
+            f"n={row['n']} t={row['t']}")
 
 
 def test_recorded_sharded_backend_extends_the_grid():

@@ -31,6 +31,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterable, List, Sequence, Set
 
+from .npsupport import (DEFAULT_CODE, MISSING_CODE, SMALL_KERNEL_ELEMENTS,
+                        VALUE_CODEC, require_numpy, strict_majority,
+                        vote_windows, window_tallies)
 from .sequences import (LabelSequence, ProcessorId, SequenceIndex,
                         corresponding_processor)
 from .tree import MISSING, FlatEIGTree, InfoGatheringTree
@@ -187,7 +190,6 @@ def _window_triggers_numpy(np, child_codes, parents_size: int, branch: int,
     from the majority.  (A strict majority is unique, so the argmax tie-break
     never matters.)
     """
-    from .npsupport import strict_majority, vote_windows, window_tallies
     mat = vote_windows(child_codes, parents_size, branch)
     best, has_majority = strict_majority(window_tallies(mat, num_codes),
                                          branch)
@@ -325,31 +327,30 @@ def quiet_scan_charge(index: SequenceIndex, parent_level: int,
 
 def batched_fired_ids(child_stacks, parents_size: int, branch: int,
                       index: SequenceIndex, child_level: int,
-                      suspect_sets, budgets,
-                      num_codes: int) -> List[List[int]]:
+                      suspect_sets, budgets, num_codes: int):
     """Fired parent ids per participant for one stacked level.
 
     Dispatches between the vectorized trigger kernel
     (:func:`batched_window_triggers`) and the scalar tiny-level path; either
-    way the result feeds :func:`_scan_fired_labels`, so discovery decisions
-    and meter charges are one shared implementation.
+    way the fired ids feed :func:`_scan_fired_labels`, so discovery decisions
+    and meter charges are one shared implementation.  Returns
+    ``(fired, votes)``: *votes* is the kernel's per-window
+    ``(best, best_count)`` pair of ``(participants, parents)`` arrays, or
+    ``None`` from the scalar path.
     """
-    from .npsupport import SMALL_KERNEL_ELEMENTS, require_numpy
     np = require_numpy()
     count = child_stacks.shape[0]
     if child_stacks.size <= SMALL_KERNEL_ELEMENTS:
         return _fired_ids_python(child_stacks.tolist(), parents_size, branch,
                                  index.last_labels(child_level),
-                                 suspect_sets, budgets)
-    triggers = batched_window_triggers(child_stacks, parents_size, branch,
-                                       index.slots_np(child_level),
-                                       suspect_sets,
-                                       np.asarray(budgets, dtype=np.int64),
-                                       num_codes)
+                                 suspect_sets, budgets), None
+    triggers, best, best_count = batched_window_triggers(
+        child_stacks, parents_size, branch, index.slots_np(child_level),
+        suspect_sets, np.asarray(budgets, dtype=np.int64), num_codes)
     fired: List[List[int]] = [[] for _ in range(count)]
     for row_index in np.flatnonzero(triggers.any(axis=1)).tolist():
         fired[row_index] = np.flatnonzero(triggers[row_index]).tolist()
-    return fired
+    return fired, (best, best_count)
 
 
 def batched_window_triggers(child_stacks, parents_size: int, branch: int,
@@ -367,20 +368,24 @@ def batched_window_triggers(child_stacks, parents_size: int, branch: int,
     count is derived from the tallies (``branch − best's tally``) minus a
     per-suspect-label slot fixup, avoiding any ``(participants, parents,
     branch)`` temporary.
+
+    Returns ``(triggers, best, best_count)``, all ``(participants, parents)``:
+    besides the trigger mask, each window's top code and its tally — the
+    whole of what ``resolve`` needs from this level, so a conversion of the
+    same level need not tally it again.
     """
-    from .npsupport import require_numpy, window_tallies
     np = require_numpy()
     rows = child_stacks.shape[0]
     tallies = window_tallies(
         child_stacks.reshape(rows * parents_size, branch), num_codes)
-    best = tallies.argmax(axis=1)
-    best_count = np.take_along_axis(tallies, best[:, None], axis=1)[:, 0]
-    has_majority = (2 * best_count > branch).reshape(rows, parents_size)
+    best = tallies.argmax(axis=1).reshape(rows, parents_size)
+    best_count = np.take_along_axis(
+        tallies, best.reshape(-1, 1), axis=1).reshape(rows, parents_size)
+    has_majority = 2 * best_count > branch
     # All deviating children first; then subtract each suspect child that
     # deviates from its window's top code (a strict majority is unique, so
     # the argmax tie-break never affects triggering windows).
-    deviating = (branch - best_count).reshape(rows, parents_size)
-    best = best.reshape(rows, parents_size)
+    deviating = branch - best_count
     for row_index, suspects in enumerate(suspect_sets):
         if not suspects:
             continue
@@ -395,7 +400,8 @@ def batched_window_triggers(child_stacks, parents_size: int, branch: int,
             # Each parent has at most one child per label, so the fancy
             # in-place subtract sees unique indices.
             dev[parents] -= codes[slots] != top[parents]
-    return ~has_majority | (deviating > budgets[:, None])
+    triggers = ~has_majority | (deviating > budgets[:, None])
+    return triggers, best, best_count
 
 
 def discover_at_level_numpy(tree, level: int,
@@ -409,8 +415,6 @@ def discover_at_level_numpy(tree, level: int,
     Decisions, discoveries and meter totals are identical to both other
     engines.
     """
-    from .npsupport import (DEFAULT_CODE, MISSING_CODE, VALUE_CODEC,
-                            require_numpy)
     np = require_numpy()
     discovered: Set[ProcessorId] = set()
     if level < 2 or level > tree.num_levels:
@@ -446,7 +450,6 @@ def discover_during_conversion_numpy(index: SequenceIndex,
     discovered at one level is skipped — and not charged — at every deeper
     level, exactly like the scalar passes.
     """
-    from .npsupport import VALUE_CODEC, require_numpy
     np = require_numpy()
     discovered: Set[ProcessorId] = set()
     budget = t - len(suspects)
@@ -482,7 +485,6 @@ def discover_during_conversion_batched(index: SequenceIndex,
     decision and meter charge — is the per-processor pass verbatim, row by
     row.
     """
-    from .npsupport import VALUE_CODEC
     count = len(suspect_sets)
     discovered: List[Set[ProcessorId]] = [set() for _ in range(count)]
     budgets = [t - len(suspects) for suspects in suspect_sets]
@@ -491,7 +493,7 @@ def discover_during_conversion_batched(index: SequenceIndex,
     for level in range(1, num_levels):
         branch = index.branch(level)
         parents_size = index.level_size(level)
-        fired = batched_fired_ids(
+        fired, _votes = batched_fired_ids(
             converted_stacks[level], parents_size, branch, index, level + 1,
             suspect_sets, budgets, num_codes)
         for i in range(count):

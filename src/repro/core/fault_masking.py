@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Set
 
-from .fault_discovery import (FaultTracker, discover_at_level,
+from .fault_discovery import (FaultTracker, _scan_fired_labels,
+                              batched_fired_ids, discover_at_level,
                               discover_at_level_flat,
-                              discover_at_level_numpy)
+                              discover_at_level_numpy, quiet_scan_charge)
+from .npsupport import DEFAULT_CODE, MISSING_CODE, VALUE_CODEC, require_numpy
 from .sequences import ProcessorId
 from .tree import MISSING, FlatEIGTree, InfoGatheringTree, NumpyEIGTree
 from .values import DEFAULT_VALUE, Value
@@ -134,7 +136,6 @@ def _discover_and_mask_numpy(tree: NumpyEIGTree, level: int,
                              masked_value: Value = DEFAULT_VALUE
                              ) -> Set[ProcessorId]:
     """Fixpoint of vectorized discovery and fancy-indexed slot masking."""
-    from .npsupport import MISSING_CODE, VALUE_CODEC
     newly_discovered: Set[ProcessorId] = set()
     if level < 2 or level > tree.num_levels:
         return newly_discovered
@@ -164,7 +165,7 @@ def _discover_and_mask_numpy(tree: NumpyEIGTree, level: int,
 
 def gather_level_batched(state, level: int, claims, row_of, domain_mask
                          ) -> None:
-    """One 2-D fancy-indexed gather stepping every participant at once.
+    """One flat ``take`` stepping every participant at once.
 
     Whole-run twin of :func:`gather_level_numpy`: *claims* is a
     ``(rows, prev_level_size)`` code matrix whose rows are the distinct claim
@@ -172,9 +173,16 @@ def gather_level_batched(state, level: int, claims, row_of, domain_mask
     echoes are by construction the sender's own row — plus an all-default row
     for missing/suspect senders and one row per distinct faulty message), and
     ``row_of[i, c]`` names the claims row receiver *i* reads for sender label
-    ``c``.  The new level of the entire run is then a single gather
-    ``claims[row_of[:, last_labels], parent_of_slot]`` pushed through the
-    code-level domain mask.
+    ``c``.  Slot ``s`` of receiver *i* reads
+    ``claims[row_of[i, last_label[s]], parent_of_slot[s]]``.
+
+    The code-level domain mask is applied to the small claims matrix first:
+    the gather only copies claim values, so masking before it equals masking
+    its (far larger) result.  The gather itself is one ``take`` over the
+    flattened claims with the index ``row·prev_size + parent`` (the small
+    ``row_of`` is scaled before it is expanded; the parent ids are added in
+    place), so the new stack is C-contiguous by construction (the
+    :class:`~repro.core.npsupport.BatchedEIGState` layout invariant).
 
     The uniform domain mask is equivalent to the per-processor paths: echoed
     own values are always in-domain (they passed coercion, masking, or a
@@ -182,13 +190,14 @@ def gather_level_batched(state, level: int, claims, row_of, domain_mask
     out-of-domain claim collapses to the default exactly as the Fault
     Masking / default-substitution rules require.
     """
-    from .npsupport import DEFAULT_CODE, require_numpy
     np = require_numpy()
     index = state.index
-    values = claims[row_of[:, index.last_labels_np(level)],
-                    index.parent_ids_np(level)]
-    stack = np.where(domain_mask[values], values, DEFAULT_CODE)
-    state.append_level(stack.astype(claims.dtype, copy=False))
+    masked = np.where(domain_mask[claims], claims, DEFAULT_CODE)
+    flat_claims = masked.astype(claims.dtype, copy=False).reshape(-1)
+    flat_index = np.take(row_of * claims.shape[1], index.last_labels_np(level),
+                         axis=1)
+    flat_index += index.parent_ids_np(level)
+    state.append_level(np.take(flat_claims, flat_index))
 
 
 def discover_and_mask_batched(state, level: int,
@@ -206,10 +215,15 @@ def discover_and_mask_batched(state, level: int,
     (masking only rewrites the owner's row) — which reproduces the
     per-processor fixpoint's termination and charge accounting verbatim.
     Returns the per-participant sets of newly discovered processors.
+
+    The trigger kernel's per-window ``(best, best_count)`` votes of the
+    leaf level are kept on *state* (``BatchedEIGState.set_leaf_votes``): each
+    iteration patches the rows it re-tallied, and a deactivated row is
+    never rewritten again, so its last tally is final.  A conversion in the
+    same round then reads them instead of tallying the level again.  When an
+    iteration takes the scalar tiny-level path there are no votes to patch,
+    and none are kept.
     """
-    from .fault_discovery import (_scan_fired_labels, batched_fired_ids,
-                                  quiet_scan_charge)
-    from .npsupport import VALUE_CODEC, require_numpy
     np = require_numpy()
     count = state.count
     newly: List[Set[ProcessorId]] = [set() for _ in range(count)]
@@ -225,6 +239,7 @@ def discover_and_mask_batched(state, level: int,
     # per-processor kernels' MISSING-substitution and parent-presence passes
     # are no-ops here and every parent is examined.
     active = list(range(count))
+    votes = None
     while active:
         rows = child_stack[active] if len(active) < count else child_stack
         budgets = []
@@ -233,8 +248,16 @@ def discover_and_mask_batched(state, level: int,
             suspects = trackers[i].suspects
             suspect_sets.append(suspects)
             budgets.append(trackers[i].t - len(suspects))
-        fired = batched_fired_ids(rows, parents_size, branch, index, level,
-                                  suspect_sets, budgets, len(VALUE_CODEC))
+        fired, row_votes = batched_fired_ids(
+            rows, parents_size, branch, index, level, suspect_sets, budgets,
+            len(VALUE_CODEC))
+        if row_votes is None:
+            votes = None
+        elif len(active) == count:
+            votes = row_votes
+        elif votes is not None:
+            votes[0][active] = row_votes[0]
+            votes[1][active] = row_votes[1]
         still_active = []
         for k, i in enumerate(active):
             tracker = trackers[i]
@@ -267,6 +290,8 @@ def discover_and_mask_batched(state, level: int,
             meters[i].charge(rewritten)
             still_active.append(i)
         active = still_active
+    if votes is not None and level == state.num_levels:
+        state.set_leaf_votes(*votes)
     return newly
 
 
@@ -287,7 +312,6 @@ def gather_level_numpy(tree: NumpyEIGTree, level: int, inbox: Inbox,
     identical Fault Masking / default-substitution semantics, with identical
     meter charges.
     """
-    from .npsupport import MISSING_CODE, VALUE_CODEC, require_numpy
     np = require_numpy()
     index = tree.index
     previous = tree.raw_level(level - 1)

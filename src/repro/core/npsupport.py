@@ -75,9 +75,9 @@ DEFAULT_CODE = 1
 #: Code of the ``⊥`` sentinel (conversion scratch only, never stored).
 BOTTOM_CODE = 2
 
-#: dtype of every code buffer.  int32 leaves the offset arithmetic of the
-#: per-level ``bincount`` majority votes comfortably inside the dtype while
-#: staying 16× smaller than object pointers.
+#: dtype of every code buffer: 16× smaller than object pointers.  (The
+#: offset arithmetic of the per-level ``bincount`` majority votes runs in
+#: int64 — see :func:`window_tallies` — so it never overflows this dtype.)
 CODE_DTYPE_NAME = "int32"
 
 #: Below this many stacked elements the batched kernels switch to their
@@ -225,9 +225,22 @@ class BatchedEIGState:
     ``i`` is exactly the level buffer participant ``i``'s
     :class:`~repro.core.tree.NumpyEIGTree` would hold at the same point of the
     execution.  One 2-D kernel per round then steps every correct processor at
-    once: gathering is a single fancy-indexed read over the stacked claims,
-    and resolve / fault discovery reshape the whole stack into one
+    once: gathering is a single flat ``take`` over the stacked claims, and
+    resolve / fault discovery reshape the whole stack into one
     ``(participants · parents, branch)`` vote matrix.
+
+    **Invariant: stacks are C-contiguous.**  Every row is then a 1-D
+    contiguous buffer (the view an outgoing
+    :class:`~repro.runtime.messages.NumpyLevelMessage` wraps), and the vote
+    reshape is a view rather than a copy of the whole level;
+    :meth:`append_level` rejects any other layout.
+
+    **Leaf votes.**  The discovery fixpoint tallies every child window of
+    the leaf level it settles; it records the final per-window
+    ``(best, best_count)`` with :meth:`set_leaf_votes`, and the conversion
+    of the same round reads them back (:meth:`leaf_votes`) instead of
+    tallying the leaf level again.  Installing a level or resetting to roots
+    drops them.
 
     The aliasing discipline matches the per-processor trees: a level stack may
     be mutated only during the round that appended it (gathering + masking of
@@ -244,13 +257,14 @@ class BatchedEIGState:
     uphold it.
     """
 
-    __slots__ = ("index", "count", "_levels")
+    __slots__ = ("index", "count", "_levels", "_leaf_votes")
 
     def __init__(self, index, count: int) -> None:
         require_numpy()
         self.index = index
         self.count = count
         self._levels: List[object] = []
+        self._leaf_votes = None
 
     @property
     def num_levels(self) -> int:
@@ -269,18 +283,37 @@ class BatchedEIGState:
         np = require_numpy()
         roots = np.asarray(codes, dtype=CODE_DTYPE_NAME).reshape(self.count, 1)
         self._levels = [roots]
+        self._leaf_votes = None
 
     #: ``shift_{k→1}`` for the whole run: same operation as :meth:`set_roots`.
     reset_to_roots = set_roots
 
     def append_level(self, stack) -> None:
-        """Install *stack* as the next level (shape-checked against the index)."""
+        """Install *stack* as the next level (shape- and layout-checked)."""
         expected = (self.count, self.index.level_size(self.num_levels + 1))
         if tuple(stack.shape) != expected:
             raise ValueError(
                 f"level {self.num_levels + 1} stack must have shape "
                 f"{expected}, got {tuple(stack.shape)}")
+        if not stack.flags.c_contiguous:
+            raise ValueError(
+                f"level {self.num_levels + 1} stack must be C-contiguous "
+                f"(row-major rows back the broadcast views and vote windows)")
         self._levels.append(stack)
+        self._leaf_votes = None
+
+    def set_leaf_votes(self, best, best_count) -> None:
+        """Record the final ``(rows, parents)`` child-window votes of the leaf.
+
+        *best* is each leaf window's top code and *best_count* its tally,
+        exactly as a fresh :func:`window_tallies` + argmax over the current
+        leaf stack would give them.
+        """
+        self._leaf_votes = (best, best_count)
+
+    def leaf_votes(self):
+        """The recorded ``(best, best_count)`` of the leaf level, or ``None``."""
+        return self._leaf_votes
 
     def row_tree(self, i: int, meter=None):
         """Participant *i*'s state as a standalone :class:`NumpyEIGTree`.

@@ -27,6 +27,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Dict, List, Optional
 
+from .fault_discovery import window_majority
+from .npsupport import (BOTTOM_CODE, DEFAULT_CODE, MISSING_CODE,
+                        SMALL_KERNEL_ELEMENTS, VALUE_CODEC, require_numpy,
+                        strict_majority, vote_windows, window_tallies)
 from .sequences import LabelSequence
 from .tree import MISSING, FlatEIGTree, InfoGatheringTree
 from .values import BOTTOM, DEFAULT_VALUE, Value, is_bottom
@@ -217,8 +221,6 @@ def _vote_level_select(np, windows, branch: int, majority: bool,
     ``resolve`` keeps strict majorities (default otherwise) and ``resolve'``
     zeroes the ``⊥`` column and demands a unique ``t + 1``-threshold winner.
     """
-    from .npsupport import (BOTTOM_CODE, DEFAULT_CODE, strict_majority,
-                            window_tallies)
     tallies = window_tallies(windows, num_codes)
     if majority:
         best, has_majority = strict_majority(tallies, branch)
@@ -251,8 +253,6 @@ def numpy_resolve_levels(tree, conversion: str, t: int) -> List[object]:
     Semantics and meter accounting are identical to both other engines (two
     units per leaf, one per child of every internal node, charged in bulk).
     """
-    from .npsupport import (DEFAULT_CODE, MISSING_CODE, VALUE_CODEC,
-                            require_numpy, vote_windows)
     np = require_numpy()
     if conversion not in ("resolve", "resolve_prime"):
         raise ValueError(f"unknown conversion function {conversion!r}")
@@ -291,9 +291,13 @@ def batched_resolve_levels(state, conversion: str, t: int):
     ``(participants, level_size)`` converted code stack of level ``ℓ`` and the
     charge equals what :func:`numpy_resolve_levels` bills one processor (the
     caller charges each participant's meter).
+
+    Under ``resolve`` the leaf windows' vote is the one the discovery
+    fixpoint of the same round already tallied
+    (:meth:`~repro.core.npsupport.BatchedEIGState.leaf_votes`), so the leaf
+    level is not tallied again when those votes are on *state*.  ``resolve'``
+    needs every code's tally, and always tallies afresh.
     """
-    from .npsupport import (SMALL_KERNEL_ELEMENTS, VALUE_CODEC,
-                            require_numpy)
     np = require_numpy()
     if conversion not in ("resolve", "resolve_prime"):
         raise ValueError(f"unknown conversion function {conversion!r}")
@@ -311,11 +315,17 @@ def batched_resolve_levels(state, conversion: str, t: int):
     majority = conversion == "resolve"
     threshold = t + 1
     num_codes = len(VALUE_CODEC)
+    leaf_votes = state.leaf_votes() if majority else None
     for level in range(height - 1, 0, -1):
         children = levels[level]
         branch = index.branch(level)
         size = index.level_size(level)
         charge += size * branch
+        if leaf_votes is not None and level == height - 1:
+            best, best_count = leaf_votes
+            levels[level - 1] = np.where(2 * best_count > branch, best,
+                                         DEFAULT_CODE).astype(children.dtype)
+            continue
         if children.size <= SMALL_KERNEL_ELEMENTS:
             levels[level - 1] = np.asarray(
                 _vote_level_python(children.tolist(), size, branch, majority,
@@ -337,8 +347,6 @@ def _vote_level_python(child_rows, size: int, branch: int, majority: bool,
     :func:`~repro.core.fault_discovery.window_majority`); ``resolve'``
     demands a unique non-``⊥`` code reaching the threshold.
     """
-    from .npsupport import BOTTOM_CODE, DEFAULT_CODE
-    from .fault_discovery import window_majority
     out_rows = []
     for row in child_rows:
         out_row = []
@@ -364,7 +372,6 @@ def _vote_level_python(child_rows, size: int, branch: int, majority: bool,
 
 def numpy_resolve_root(tree, conversion: str, t: int) -> Value:
     """The decoded converted value of the root of an ndarray-backed tree."""
-    from .npsupport import VALUE_CODEC
     return VALUE_CODEC.value(int(numpy_resolve_levels(tree, conversion,
                                                       t)[0][0]))
 
@@ -377,7 +384,6 @@ def flat_converted_dict(tree: FlatEIGTree,
     converted: Dict[LabelSequence, Value] = {}
     for level, values in enumerate(levels, start=1):
         if not isinstance(values, list):
-            from .npsupport import VALUE_CODEC
             values = VALUE_CODEC.decode_buffer(values)
         converted.update(zip(tree.index.sequences(level), values))
     return converted

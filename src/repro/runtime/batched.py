@@ -5,10 +5,11 @@ protocol state machines in lock step.  The synchronous-round model makes that
 uniformity exploitable: every correct processor of an EIG execution holds a
 tree of the *same shape*, gathers from the *same* broadcasts, and converts at
 the *same* rounds — so the whole run can be stepped as a single
-``(rows, nodes)`` ndarray per level (a
-:class:`~repro.core.npsupport.BatchedEIGState`), with one fancy-indexed
-gather, one ``bincount`` discovery kernel, and one ``bincount`` conversion
-kernel per round for the *entire* run.  This amortises the numpy call
+``(rows, nodes)`` ndarray per level (a row-major
+:class:`~repro.core.npsupport.BatchedEIGState`), with one flat ``take``
+gather, one ``bincount`` discovery kernel, and one ``bincount`` vote per
+converted level for the *entire* run — the leaf level's vote is the one
+discovery already tallied in the same round.  This amortises the numpy call
 overhead that makes the per-processor ``"numpy"`` engine lose to the
 pure-python ``"fast"`` engine on small levels.
 
@@ -53,7 +54,8 @@ baselines, or a numpy-less environment).
 At large ``n`` the level stacks outgrow one interpreter's cache;
 :mod:`repro.runtime.sharding` splits this run's row stack across worker
 processes (the coordinator subclasses :class:`_BatchedRun`, keeping the
-adversary plumbing here authoritative).
+adversary plumbing here authoritative, and each worker steps its row block
+through the same :class:`_StackedRowStepper` as the single-process run).
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ from ..core.fault_discovery import (FaultTracker,
                                     discover_during_conversion_batched)
 from ..core.fault_masking import (discover_and_mask_batched,
                                   gather_level_batched)
+from ..core.npsupport import (BOTTOM_CODE, CODE_DTYPE_NAME, DEFAULT_CODE,
+                              MISSING_CODE, SMALL_KERNEL_ELEMENTS,
+                              VALUE_CODEC, BatchedEIGState, require_numpy)
 from ..core.resolve import batched_resolve_levels
 from ..core.sequences import ProcessorId, sequence_index
 from ..core.shifting import ShiftingEIGProcessor
@@ -286,8 +291,6 @@ def convert_stacked_rows(state, segment, t: int, trackers, meters,
     sink), and at the final round ``decisions[decision_pids[i]]`` receives
     row *i*'s decided value.
     """
-    from ..core.npsupport import (BOTTOM_CODE, DEFAULT_CODE, VALUE_CODEC,
-                                  require_numpy)
     np = require_numpy()
     levels, charge = batched_resolve_levels(state, segment.conversion, t)
     for i in main_indices:
@@ -312,13 +315,72 @@ def convert_stacked_rows(state, segment, t: int, trackers, meters,
             decisions[decision_pids[i]] = VALUE_CODEC.value(int(roots[i]))
 
 
-class _BatchedRun:
+class _StackedRowStepper:
+    """The per-round kernels over one block of stacked rows.
+
+    Shared by the single-process batched run (every row) and each sharded
+    worker (its row block), so both step rows through one code path:
+    gather → gather meter charges → discovery/masking fixpoint → discovery
+    log → conversion at segment ends.  The host sets ``state``, ``index``,
+    ``row_pids``, ``trackers``, ``meters``, ``discovery_logs`` (all aligned
+    with the block's rows), ``main_indices`` (the rows of correct
+    participants; the rest are shadow rows charging a shared sink),
+    ``decisions``, ``t``, ``total_rounds``, ``segment_ends``,
+    ``enable_fault_discovery``, ``codec`` and ``domain_set``.
+    """
+
+    _domain_mask = None
+    _domain_mask_codes = -1
+
+    def domain_mask(self):
+        """The code-level domain mask, rebuilt only when the codec grew."""
+        if len(self.codec) != self._domain_mask_codes:
+            self._domain_mask_codes = len(self.codec)
+            self._domain_mask = self.codec.domain_mask(self.domain_set)
+        return self._domain_mask
+
+    def _install_roots(self, roots) -> None:
+        self.state.set_roots(roots)
+        for i in self.main_indices:
+            self.meters[i].charge()  # set_root stores one node
+
+    def _step_rows(self, round_number: int, claims, row_of) -> None:
+        """Grow every row by one level from *claims*, then discover/convert."""
+        level = self.state.num_levels + 1
+        gather_level_batched(self.state, level, claims, row_of,
+                             self.domain_mask())
+        level_size = self.index.level_size(level)
+        slots_table = self.index.slots_np(level)
+        for i in self.main_indices:
+            # append (one unit per node) + the echo pass over the own-label
+            # slots — the exact gather_level_numpy charges.
+            self.meters[i].charge(level_size
+                                  + len(slots_table[self.row_pids[i]][0]))
+
+        if self.enable_fault_discovery:
+            newly = discover_and_mask_batched(self.state, level,
+                                              self.trackers, round_number,
+                                              self.meters)
+            for i in self.main_indices:
+                if newly[i]:
+                    log = self.discovery_logs[i]
+                    log[round_number] = (log.get(round_number, 0)
+                                         + len(newly[i]))
+
+        segment = self.segment_ends.get(round_number)
+        if segment is not None:
+            convert_stacked_rows(
+                self.state, segment, self.t, self.trackers, self.meters,
+                self.discovery_logs, self.main_indices, self.row_pids,
+                self.decisions, round_number, self.total_rounds,
+                self.enable_fault_discovery)
+
+
+class _BatchedRun(_StackedRowStepper):
     """One batched execution (see the module docstring)."""
 
     def __init__(self, spec, config, faulty_set, adversary, seed, probe,
                  correct, participants) -> None:
-        from ..core.npsupport import (BatchedEIGState, CODE_DTYPE_NAME,
-                                      VALUE_CODEC, require_numpy)
         self.np = require_numpy()
         self.spec = spec
         self.config = config
@@ -342,20 +404,20 @@ class _BatchedRun:
         shadow_meter = ComputationMeter()  # shared sink, never read
         self.meters = ([ComputationMeter() for _ in participants]
                        + [shadow_meter] * len(self.shadow_pids))
+        self.main_indices = range(self.main_count)
         self.discovery_logs: List[Dict[int, int]] = [{} for _ in participants]
         self.decisions: Dict[ProcessorId, object] = {}
         self.metrics = RunMetrics()
         self.total_rounds = probe.total_rounds
         self.segment_ends = probe.segment_ends
         self.enable_fault_discovery = probe.enable_fault_discovery
+        self.t = config.t
         self.source_correct = config.source not in faulty_set
         self.processor_set = set(config.processors)
         self.n = config.n
         self.domain_size = len(config.domain)
         self.domain_set = frozenset(v for v in config.domain
                                     if not is_bottom(v))
-        self._domain_mask = None
-        self._domain_mask_codes = -1
         self._claimed_shadows: Set[ProcessorId] = set()
         from .corruption import corruption_enabled
         self._corrupting = corruption_enabled(adversary)
@@ -373,16 +435,8 @@ class _BatchedRun:
         # For small runs the per-round row_of is assembled in plain python
         # (a handful of ndarray writes per row costs more than the whole
         # nested-list build).
-        from ..core.npsupport import SMALL_KERNEL_ELEMENTS
         self._small_row_of = self.count * self.n <= SMALL_KERNEL_ELEMENTS
         self._row_of_base_py = self._row_of_base.tolist()
-
-    def domain_mask(self):
-        """The code-level domain mask, rebuilt only when the codec grew."""
-        if len(self.codec) != self._domain_mask_codes:
-            self._domain_mask_codes = len(self.codec)
-            self._domain_mask = self.codec.domain_mask(self.domain_set)
-        return self._domain_mask
 
     def claim_shadow(self, pid: ProcessorId,
                      config) -> Optional[_ShadowProcessor]:
@@ -489,11 +543,6 @@ class _BatchedRun:
             roots[i] = self.codec.code(coerce_value(claimed, config.domain))
         return roots
 
-    def _install_roots(self, roots) -> None:
-        self.state.set_roots(roots)
-        for i in range(self.main_count):
-            self.meters[i].charge()  # set_root stores one node
-
     def _round_broadcasts(self, round_number: int, prev_level: int
                           ) -> Dict[ProcessorId, Optional[Message]]:
         """Every correct participant's whole-round broadcast, by row reference."""
@@ -528,7 +577,6 @@ class _BatchedRun:
         # level stack itself (serving echoes and every correct broadcast),
         # an all-default row (missing or masked senders), and one row per
         # distinct faulty message.
-        level = prev_level + 1
         default_idx = self.count
         # row_of rows support both layouts: nested python lists (small runs)
         # and ndarray row views — the faulty-message loop writes through
@@ -575,7 +623,6 @@ class _BatchedRun:
                 row_of_rows[i][sender] = row_idx
         row_of = (np.asarray(row_of_rows, dtype=np.int64)
                   if self._small_row_of else row_of_rows)
-        from ..core.npsupport import DEFAULT_CODE
         prev_stack = self.state.raw_stack(prev_level)
         default_row = np.full((1, prev_size), DEFAULT_CODE,
                               dtype=prev_stack.dtype)
@@ -585,29 +632,7 @@ class _BatchedRun:
         else:
             claims = np.concatenate([prev_stack, default_row])
 
-        gather_level_batched(self.state, level, claims, row_of,
-                             self.domain_mask())
-        level_size = self.index.level_size(level)
-        slots_table = self.index.slots_np(level)
-        for i in range(self.main_count):
-            # append (one unit per node) + the echo pass over the own-label
-            # slots — the exact gather_level_numpy charges.
-            self.meters[i].charge(level_size
-                                  + len(slots_table[self.row_pids[i]][0]))
-
-        if self.enable_fault_discovery:
-            newly = discover_and_mask_batched(self.state, level,
-                                              self.trackers, round_number,
-                                              self.meters)
-            for i in range(self.main_count):
-                if newly[i]:
-                    log = self.discovery_logs[i]
-                    log[round_number] = (log.get(round_number, 0)
-                                        + len(newly[i]))
-
-        segment = self.segment_ends.get(round_number)
-        if segment is not None:
-            self._convert(round_number, segment)
+        self._step_rows(round_number, claims, row_of)
         self._observe_delivery(round_number, messages, faulty_outboxes)
         self._corrupt(round_number)
 
@@ -628,13 +653,6 @@ class _BatchedRun:
         views = {pid: BatchedRowStateView(pid, level, stack[i])
                  for i, pid in enumerate(self.participants)}
         self.adversary.corrupt_state(round_number, views)
-
-    def _convert(self, round_number: int, segment) -> None:
-        convert_stacked_rows(
-            self.state, segment, self.config.t, self.trackers, self.meters,
-            self.discovery_logs, range(self.main_count), self.participants,
-            self.decisions, round_number, self.total_rounds,
-            self.enable_fault_discovery)
 
     # -- adversary plumbing -----------------------------------------------------
     def _faulty_outboxes(self, round_number: int,
@@ -687,7 +705,6 @@ class _BatchedRun:
         if isinstance(message, NumpyLevelMessage) and message.matches(
                 self.index, prev_level):
             return message.level_codes()
-        from ..core.npsupport import MISSING_CODE
         row = self.np.full(prev_size, MISSING_CODE, dtype=self.code_dtype)
         id_map = self.index.id_map(prev_level)
         code_of = self.codec.code

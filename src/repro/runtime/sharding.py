@@ -13,7 +13,8 @@ processes** each own a contiguous block of rows and run the round kernels
 only.
 
 Per round the coordinator and the shards exchange exactly two payloads of
-serialized code ndarrays:
+serialized code ndarrays (one byte per code on the wire while the codec
+fits — :func:`_to_wire`):
 
 * coordinator → every shard: the round's **claims matrix** (the previous
   level stack — a correct broadcast *is* the sender's row — plus the
@@ -55,12 +56,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.engine import NUMPY, numpy_available, use_engine
 from ..core.fault_discovery import FaultTracker
-from ..core.fault_masking import (discover_and_mask_batched,
-                                  gather_level_batched)
+from ..core.npsupport import (CODE_DTYPE_NAME, DEFAULT_CODE, VALUE_CODEC,
+                              BatchedEIGState, require_numpy, shard_bounds)
 from ..core.sequences import ProcessorId, sequence_index
 from ..core.values import is_bottom
 from .batched import (_BatchedRun, _BroadcastTable, _ProbeFacts,
-                      convert_stacked_rows)
+                      _StackedRowStepper)
 from .chaos import current_chaos
 from .errors import (SimulationError, WorkerDiedError, WorkerShutdownError,
                      WorkerTimeoutError)
@@ -76,6 +77,23 @@ _PING = "ping"
 #: SIGTERM another *term* seconds is killed; surviving SIGKILL for *kill*
 #: seconds more raises :class:`WorkerShutdownError` instead of hanging.
 _SHUTDOWN_GRACE = (1.0, 1.0, 2.0)
+
+
+def _to_wire(codes):
+    """A code ndarray narrowed for the pipe: one byte per code when it fits.
+
+    Codes index the process-wide codec, so while it holds at most 256
+    values every code fits a ``uint8`` — a quarter of the bytes of the
+    in-memory dtype to pickle and push through the pipe.
+    """
+    if len(VALUE_CODEC) <= 256:
+        return codes.astype("uint8")
+    return codes
+
+
+def _from_wire(codes):
+    """Widen a :func:`_to_wire` array back to the code dtype."""
+    return codes.astype(CODE_DTYPE_NAME, copy=False)
 
 
 def shard_supported(spec, config) -> bool:
@@ -165,7 +183,6 @@ class _ShardedRun(_BatchedRun):
                  deadline: Optional[float] = None) -> None:
         super().__init__(spec, config, faulty_set, adversary, seed, probe,
                          correct, participants)
-        from ..core.npsupport import shard_bounds
         self.bounds = shard_bounds(self.count, shards)
         self.shards = len(self.bounds)
         self.deadline = deadline
@@ -374,7 +391,6 @@ class _ShardedRun(_BatchedRun):
                         self._claim_row(message, prev_level, prev_size))
                     row_cache[id(message)] = row_idx
                 routing[i][sender] = row_idx
-        from ..core.npsupport import DEFAULT_CODE
         prev_stack = self.state.raw_stack(prev_level)
         default_row = np.full((1, prev_size), DEFAULT_CODE,
                               dtype=prev_stack.dtype)
@@ -384,14 +400,16 @@ class _ShardedRun(_BatchedRun):
         claims = np.ascontiguousarray(np.concatenate(stacks))
 
         start, values = self._codec_update()
-        self._send_all([(_ROUND, round_number, claims, routing[lo:hi],
+        wire_claims = _to_wire(claims)
+        self._send_all([(_ROUND, round_number, wire_claims, routing[lo:hi],
                          start, values) for lo, hi in self.bounds[1:]],
                        round_number=round_number)
         # Step the coordinator's own block while the workers chew theirs.
         local_block = self._local_shard.round(
             round_number, claims, routing[self.bounds[0][0]:
                                           self.bounds[0][1]])
-        blocks = [local_block] + self._recv_all()
+        blocks = [local_block] + [_from_wire(block)
+                                  for block in self._recv_all()]
         assembled = np.concatenate(blocks)
         if round_number in self.segment_ends:
             self.state.reset_to_roots(assembled)
@@ -433,7 +451,8 @@ def _shard_worker_main(conn, init) -> None:  # pragma: no cover - subprocess
             elif kind == _ROUND:
                 _, round_number, claims, routing, start, values = payload
                 shard.adopt_codec(start, values)
-                conn.send(("ok", shard.round(round_number, claims, routing)))
+                block = shard.round(round_number, _from_wire(claims), routing)
+                conn.send(("ok", _to_wire(block)))
             elif kind == _FINISH:
                 conn.send(("ok", shard.finish()))
             elif kind == _PING:
@@ -462,7 +481,7 @@ def _shard_worker_main(conn, init) -> None:  # pragma: no cover - subprocess
             pass
 
 
-class _ShardWorker:
+class _ShardWorker(_StackedRowStepper):
     """One worker's state: a row block stepped with the batched kernels.
 
     Holds the local :class:`BatchedEIGState` (``local_count`` rows), the
@@ -474,20 +493,16 @@ class _ShardWorker:
     """
 
     def __init__(self, init, in_subprocess: bool = False) -> None:
-        from ..core.npsupport import (BatchedEIGState, CODE_DTYPE_NAME,
-                                      VALUE_CODEC, require_numpy)
         #: Chaos faults claimed for this shard at spawn time, each a plain
         #: dict firing once at its matching round (see repro.runtime.chaos).
         self.chaos = [dict(fault) for fault in init.get("chaos") or []]
         self._in_subprocess = in_subprocess
-        np = self.np = require_numpy()
+        np = require_numpy()
         self.index = sequence_index(init["source"], init["processors"], False)
         self.n = init["n"]
         self.t = init["t"]
         self.codec = VALUE_CODEC
-        self.code_dtype = CODE_DTYPE_NAME
-        self.domain = tuple(init["domain"])
-        self.domain_set = frozenset(v for v in self.domain
+        self.domain_set = frozenset(v for v in init["domain"]
                                     if not is_bottom(v))
         self.row_pids = list(init["row_pids"])
         self.row_start = init["row_start"]
@@ -505,13 +520,11 @@ class _ShardWorker:
                        else shadow_meter
                        for i in range(self.local_count)]
         #: local indices of the rows that belong to correct participants
-        self.local_mains = [i for i in range(self.local_count)
-                            if self.row_start + i < self.main_count]
+        self.main_indices = [i for i in range(self.local_count)
+                             if self.row_start + i < self.main_count]
         self.discovery_logs: List[Dict[int, int]] = [
             {} for _ in range(self.local_count)]
         self.decisions: Dict[ProcessorId, object] = {}
-        self._domain_mask = None
-        self._domain_mask_codes = -1
         # Routing base (global claims indices): sender pid → its global row,
         # everything else → the all-default row.
         participants = list(init["participants"])
@@ -527,12 +540,6 @@ class _ShardWorker:
 
     def adopt_codec(self, start: int, values) -> None:
         self.codec.adopt(values, start)
-
-    def domain_mask(self):
-        if len(self.codec) != self._domain_mask_codes:
-            self._domain_mask_codes = len(self.codec)
-            self._domain_mask = self.codec.domain_mask(self.domain_set)
-        return self._domain_mask
 
     def _chaos_round(self, round_number: int) -> None:
         """Fire any claimed chaos fault scheduled for this round."""
@@ -555,16 +562,11 @@ class _ShardWorker:
     # -- rounds --------------------------------------------------------------
     def round_one(self, roots) -> None:
         self._chaos_round(1)
-        self.state.set_roots(self.np.asarray(roots, dtype=self.code_dtype))
-        for i in self.local_mains:
-            self.meters[i].charge()  # set_root stores one node
+        self._install_roots(roots)
 
     def round(self, round_number: int, claims, routing):
         """Run one round's kernels over the local rows; return the leaf block."""
         self._chaos_round(round_number)
-        np = self.np
-        prev_level = self.state.num_levels
-        level = prev_level + 1
         # Same construction order as the single-process round: suspects
         # collapse to the default row, then the own-pid echo (which wins even
         # under theoretical self-suspicion), then the faulty-claim routing
@@ -583,38 +585,8 @@ class _ShardWorker:
                 if sender in tracker:
                     continue  # masked sender: every claim becomes the default
                 row_of[i, sender] = row_idx
-
-        gather_level_batched(self.state, level, claims, row_of,
-                             self.domain_mask())
-        level_size = self.index.level_size(level)
-        slots_table = self.index.slots_np(level)
-        for i in self.local_mains:
-            # append (one unit per node) + the echo pass over the own-label
-            # slots — the exact gather_level_numpy charges.
-            self.meters[i].charge(level_size
-                                  + len(slots_table[self.row_pids[i]][0]))
-
-        if self.enable_fault_discovery:
-            newly = discover_and_mask_batched(self.state, level,
-                                              self.trackers, round_number,
-                                              self.meters)
-            for i in self.local_mains:
-                if newly[i]:
-                    log = self.discovery_logs[i]
-                    log[round_number] = (log.get(round_number, 0)
-                                         + len(newly[i]))
-
-        segment = self.segment_ends.get(round_number)
-        if segment is not None:
-            self._convert(round_number, segment)
+        self._step_rows(round_number, claims, row_of)
         return self.state.raw_stack(self.state.num_levels)
-
-    def _convert(self, round_number: int, segment) -> None:
-        convert_stacked_rows(
-            self.state, segment, self.t, self.trackers, self.meters,
-            self.discovery_logs, self.local_mains, self.row_pids,
-            self.decisions, round_number, self.total_rounds,
-            self.enable_fault_discovery)
 
     def finish(self) -> Dict[str, object]:
         return {
@@ -622,6 +594,6 @@ class _ShardWorker:
                        tuple(sorted(self.trackers[i].suspects)),
                        dict(self.discovery_logs[i]),
                        self.meters[i].units)
-                      for i in self.local_mains],
+                      for i in self.main_indices],
             "decisions": dict(self.decisions),
         }
