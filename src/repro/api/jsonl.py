@@ -1,35 +1,46 @@
-"""Crash-tolerant JSONL scanning and rewriting, shared by every durable log.
+"""The one durable-write path: append-only JSONL logs that survive ``kill -9``.
 
-Three consumers append one JSON object per line to an append-only log and
-must recover it after a ``kill -9``: the sweep checkpoint
-(:mod:`repro.api.sweep`), the serve journal (:mod:`repro.serve.journal`),
-and the checkpoint compactor (``repro sweep --compact``).  They share one
-reading discipline, implemented here once:
+Three logs append one JSON object per line and must recover after a crash
+at any byte: the sweep checkpoint (:mod:`repro.api.sweep`), the serve
+journal (:mod:`repro.serve.journal`) and the Monte-Carlo checkpoint
+(:mod:`repro.stats.campaign`).  Each is a :class:`DurableLog`, which owns
+the whole discipline:
 
-* a **truncated final line** is a crash artifact (the process died
-  mid-``write``) and is tolerated — the scan reports it so callers can
-  repair or surface it;
-* **unparseable bytes before the end** are corruption, not a crash tail
-  (appends are newline-terminated and flushed), and raise
-  :class:`~repro.runtime.errors.ConfigurationError` — silently dropping the
-  line would also drop every entry after it;
-* **superseded duplicates** (the same key appended twice, e.g. a retried
-  cell re-checkpointed) resolve last-write-wins, and the scan counts them so
-  replay paths can report double execution instead of masking it.
+* **header** — ``{"kind", "version", ...pinned fields}`` on line one,
+  created atomically (:func:`atomic_replace`), so a crash leaves either no
+  log or a whole header, never a torn one;
+* **validation** — one error vocabulary for a torn header, a foreign kind,
+  another version, and a header pinned for a different sweep or campaign;
+* **scan** — an entry is committed by its newline, so a **truncated final
+  line** (unparseable, or missing its newline) is a crash artifact and is
+  tolerated (the scan reports it); **unparseable bytes before the end** are
+  corruption and raise :class:`~repro.runtime.errors.ConfigurationError`,
+  because dropping that line would also drop every entry after it;
+* **open for append** — first repairs a torn tail back to the last
+  newline, so an append never lands on a partial line;
+* **append** — one ``sort_keys`` line in one write, fsynced when the log's
+  ``fsync`` is on; a failed append is cut back to the line's start and
+  raises :class:`~repro.runtime.errors.CheckpointWriteError`;
+* **compact** — an atomic rewrite that drops superseded lines and any
+  torn tail.
 
-:func:`rewrite_jsonl` is the matching compaction primitive: an atomic
-(temp-file + ``os.replace``) rewrite that drops superseded lines and any
-torn tail, leaving a minimal, clean log behind.
+Callers keep only their schema: which entries a line may hold, and how
+duplicates resolve.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, TextIO,
+                    Tuple)
 
-from ..runtime.errors import ConfigurationError
+from ..runtime.chaos import current_chaos
+from ..runtime.errors import CheckpointWriteError, ConfigurationError
 
 
 @dataclass
@@ -40,8 +51,8 @@ class JsonlScan:
     numbers are 1-based over the whole file, header included); entries are
     whatever JSON the line held — shape validation belongs to the caller,
     which knows its own schema and error vocabulary.  ``torn_tail`` records
-    whether the final line was an unparseable crash artifact the scan
-    skipped.
+    whether the final line was a crash artifact (unparseable or missing its
+    newline) the scan skipped.
     """
 
     entries: List[Tuple[int, Any]] = field(default_factory=list)
@@ -49,18 +60,24 @@ class JsonlScan:
 
 
 def scan_jsonl(path: str, lines: Iterable[str], *, first_line: int = 1,
-               description: str = "log") -> JsonlScan:
+               description: str = "log", terminated: bool = True
+               ) -> JsonlScan:
     """Parse *lines* (already split, no newlines) tolerating a torn tail.
 
     *first_line* is the 1-based file line number of the first element of
     *lines*, so error messages point at the real file position even when the
-    caller already consumed a header.
+    caller already consumed a header.  An entry is committed by its
+    newline: when *terminated* is false the final line is a torn write even
+    if it parses.
     """
-    body = [line for line in lines]
+    body = list(lines)
     scan = JsonlScan()
     for position, line in enumerate(body):
         if not line.strip():
             continue
+        if position == len(body) - 1 and not terminated:
+            scan.torn_tail = True
+            break
         try:
             entry = json.loads(line)
         except json.JSONDecodeError:
@@ -76,44 +93,201 @@ def scan_jsonl(path: str, lines: Iterable[str], *, first_line: int = 1,
     return scan
 
 
-def last_write_wins(scan: JsonlScan, key_of) -> Tuple[Dict[Any, Dict[str,
-                                                                     Any]],
-                                                      int]:
-    """Collapse *scan* to ``{key: latest_entry}`` plus the superseded count.
+@contextmanager
+def atomic_replace(path: str, fsync: bool = False) -> Iterator[TextIO]:
+    """Write *path* through a sibling temp file renamed into place on success.
 
-    *key_of* maps an entry to its identity (a sweep checkpoint's ``index``,
-    a serve journal's ``(event, id)``); later lines supersede earlier ones
-    with the same key, matching append order.
+    A crash before the :func:`os.replace` leaves *path* untouched (at most
+    a stray ``<path>.tmp.<pid>`` file); an exception removes the temp file
+    and propagates.
     """
-    latest: Dict[Any, Dict[str, Any]] = {}
-    duplicates = 0
-    for _, entry in scan.entries:
-        key = key_of(entry)
-        if key in latest:
-            duplicates += 1
-        latest[key] = entry
-    return latest, duplicates
-
-
-def rewrite_jsonl(path: str, header: Optional[Dict[str, Any]],
-                  entries: Iterable[Dict[str, Any]]) -> None:
-    """Atomically replace *path* with *header* (if any) plus *entries*.
-
-    Written to a sibling temp file and renamed into place, so a crash during
-    compaction leaves the original log untouched — the same discipline as
-    checkpoint header creation.
-    """
-    tmp = f"{path}.compact.{os.getpid()}"
+    tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            if header is not None:
-                handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for entry in entries:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
+            yield handle
             handle.flush()
-            os.fsync(handle.fileno())
+            if fsync:
+                os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+class DurableLog:
+    """One append-only JSONL log under a pinned header.
+
+    *header* is the complete first line: ``kind`` and ``version`` plus any
+    pinned fields (a sweep's or campaign's digest and size).  A log whose
+    pinned fields differ was recorded for a different *subject* and is
+    refused.  *noun* names the log in errors, article included ("a sweep
+    checkpoint").  *fault_site* is the chaos site appends consult (see
+    :mod:`repro.runtime.chaos`); its index counts this open's appends.
+
+    Thread-safe: opening, appending, closing and compacting share one lock.
+    """
+
+    def __init__(self, path: str, header: Dict[str, Any], *, noun: str,
+                 subject: str = "log", fsync: bool = False,
+                 fault_site: Optional[str] = None) -> None:
+        self.path = path
+        self.header = header
+        self.noun = noun
+        self.subject = subject
+        self.fsync = fsync
+        self.fault_site = fault_site
+        self._lock = threading.Lock()
+        self._fd: Optional[int] = None
+        self._size = 0
+        self._appends = 0
+
+    @property
+    def description(self) -> str:
+        """The noun without its article: ``"sweep checkpoint"``."""
+        return self.noun.split(" ", 1)[1]
+
+    def exists(self) -> bool:
+        """Whether the log holds anything (an empty file is a fresh start)."""
+        return os.path.exists(self.path) and os.path.getsize(self.path) > 0
+
+    # -- reading -------------------------------------------------------------
+    def read(self) -> Optional[JsonlScan]:
+        """Validate the header and scan the body; ``None`` when empty."""
+        if not self.exists():
+            return None
+        with open(self.path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        lines = text.splitlines()
+        self._check_header(lines)
+        return scan_jsonl(self.path, lines[1:], first_line=2,
+                          description=self.description,
+                          terminated=text.endswith("\n"))
+
+    def _check_header(self, lines: List[str]) -> None:
+        path, kind = self.path, self.header["kind"]
+        try:
+            found = json.loads(lines[0])
+        except json.JSONDecodeError:
+            if len(lines) == 1:
+                raise ConfigurationError(
+                    f"{path} has a torn header line and no entries "
+                    f"(unreadable header line) — likely a crash while "
+                    f"{self.noun} was being created; delete the file to "
+                    f"start fresh") from None
+            raise ConfigurationError(
+                f"{path} is not {self.noun} (unreadable header line)"
+            ) from None
+        if not isinstance(found, dict) or found.get("kind") != kind:
+            raise ConfigurationError(
+                f"{path} is not {self.noun} (expected a {kind!r} header)")
+        if found.get("version") != self.header["version"]:
+            raise ConfigurationError(
+                f"{path} is a version {found.get('version')} "
+                f"{self.description}; this build reads version "
+                f"{self.header['version']}")
+        for key in sorted(self.header):
+            if found.get(key) != self.header[key]:
+                raise ConfigurationError(
+                    f"{path} was recorded for a different {self.subject} "
+                    f"({key} {str(found.get(key))[:12]}… in the log, "
+                    f"{str(self.header[key])[:12]}… here); refusing to "
+                    f"merge unrelated results")
+
+    # -- appending -----------------------------------------------------------
+    def open(self) -> None:
+        """Open for append: create the header, or repair a torn tail first."""
+        with self._lock:
+            if self._fd is not None:
+                return
+            if self.exists():
+                self._repair_tail()
+            if not self.exists():
+                self._replace((), fsync=self.fsync)
+            self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+            self._size = os.fstat(self._fd).st_size
+            self._appends = 0
+
+    def _repair_tail(self) -> None:
+        """Cut the file back to its last newline, dropping any torn line.
+
+        A torn header with nothing after it leaves an empty file, which
+        :meth:`open` then recreates.
+        """
+        with open(self.path, "rb+") as handle:
+            data = handle.read()
+            if data.endswith(b"\n"):
+                return
+            handle.truncate(data.rfind(b"\n") + 1)
+            if self.fsync:
+                os.fsync(handle.fileno())
+
+    def append(self, entry: Dict[str, Any]) -> None:
+        """Append *entry* as one line; on failure, cut it back and raise."""
+        data = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
+        with self._lock:
+            if self._fd is None:
+                raise ConfigurationError(
+                    f"{self.path}: the {self.description} is not open for "
+                    f"append")
+            try:
+                self._inject_fault(data)
+                self._write(data)
+                if self.fsync:
+                    os.fsync(self._fd)
+            except OSError as exc:
+                os.ftruncate(self._fd, self._size)
+                raise CheckpointWriteError(
+                    f"{self.description} {self.path} append failed: {exc}"
+                ) from exc
+            self._size += len(data)
+            self._appends += 1
+
+    def _write(self, data: bytes) -> None:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(self._fd, view):]
+
+    def _inject_fault(self, data: bytes) -> None:
+        controller = current_chaos()
+        if controller is None or self.fault_site is None:
+            return
+        faults = controller.take(self.fault_site, index=self._appends)
+        if any(fault.kind == "journal-torn-write" for fault in faults):
+            # A torn write IS the fault: leave the partial line a kill -9
+            # mid-write leaves, and stop writing — dead writers repair
+            # nothing; the next open does.
+            self._write(data[:max(1, len(data) // 2)])
+            os.close(self._fd)
+            self._fd = None
+            raise CheckpointWriteError(
+                f"{self.description} {self.path} append failed: chaos: "
+                f"simulated torn append")
+        if faults:
+            raise OSError("chaos: simulated append failure")
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
+
+    # -- compaction ----------------------------------------------------------
+    def compact(self, entries: Iterable[Dict[str, Any]]) -> None:
+        """Atomically rewrite the log as the header plus *entries*.
+
+        A missing or empty log stays as it is.
+        """
+        with self._lock:
+            if self._fd is not None:
+                raise ConfigurationError(
+                    f"compact the {self.description} before opening it for "
+                    f"append")
+            if self.exists():
+                self._replace(entries, fsync=True)
+
+    def _replace(self, entries: Iterable[Dict[str, Any]],
+                 fsync: bool) -> None:
+        with atomic_replace(self.path, fsync=fsync) as handle:
+            for entry in itertools.chain((self.header,), entries):
+                handle.write(json.dumps(entry, sort_keys=True) + "\n")

@@ -22,16 +22,15 @@ The header pins the sweep's canonical SHA-256
 (:func:`sweep_digest`), so resuming against a *different* sweep — edited
 requests, another executor, a changed seed policy — fails loudly instead of
 merging unrelated results.  A truncated final line (the crash happened
-mid-write) is ignored; an unparseable line anywhere *earlier* is corruption
-and refused.  A request checkpointed twice (e.g. a retried cell) resolves
-last-write-wins, matching append order.
+mid-write) is ignored on read and cut away when the log is reopened for
+append; an unparseable line anywhere *earlier* is corruption and refused.  A
+request checkpointed twice (e.g. a retried cell) resolves last-write-wins,
+matching append order.
 
-Durability: headers are created **atomically** (written to a temp file and
-renamed into place), so a crash during creation leaves no torn header;
-completion appends retry transient I/O failures a bounded number of times,
-truncating any torn tail before each retry and recording the recovery in the
-report's ``metadata["resilience"]``; ``fsync=True`` upgrades the
-flush-per-line default to fsync-per-line for power-loss durability.
+Durability is :class:`~repro.api.jsonl.DurableLog`'s: an atomic header,
+one-write appends, ``fsync=True`` for power-loss durability.  This module
+adds a bounded retry of failed completion appends, recorded in the report's
+``metadata["resilience"]``.
 """
 
 from __future__ import annotations
@@ -39,16 +38,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..runtime.chaos import chaos_scope, current_chaos
+from ..runtime.chaos import chaos_scope
 from ..runtime.errors import CheckpointWriteError, ConfigurationError
 from ..runtime.supervision import RetryPolicy, checkpoint_retry_event
 from .executors import ExecutorSpec, resolve_executor
-from .jsonl import rewrite_jsonl, scan_jsonl
+from .jsonl import DurableLog
 from .request import RunReport, SweepSpec
 
 CHECKPOINT_KIND = "repro-sweep-checkpoint"
@@ -86,36 +84,15 @@ class CheckpointScan:
     events: List[Dict[str, Any]] = field(default_factory=list)
 
 
-def _read_checkpoint_header(path: str, lines: List[str],
-                            spec: SweepSpec) -> None:
-    """Validate the header line of a checkpoint against *spec*, loudly."""
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        if len(lines) == 1:
-            # Headers are created atomically (temp file + rename), so a
-            # lone unparseable line means the file predates that scheme and
-            # a crash tore its creation — there is nothing to resume.
-            raise ConfigurationError(
-                f"{path} has a torn header line and no completions — "
-                f"likely a crash while the checkpoint was being created; "
-                f"delete the file to start the sweep fresh")
-        raise ConfigurationError(
-            f"{path} is not a sweep checkpoint (unreadable header line)")
-    if not isinstance(header, dict) or header.get("kind") != CHECKPOINT_KIND:
-        raise ConfigurationError(
-            f"{path} is not a sweep checkpoint (expected a "
-            f"{CHECKPOINT_KIND!r} header)")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ConfigurationError(
-            f"{path} is a version {header.get('version')} checkpoint; this "
-            f"build reads version {CHECKPOINT_VERSION}")
-    digest = sweep_digest(spec)
-    if header.get("sweep_sha256") != digest:
-        raise ConfigurationError(
-            f"{path} was recorded for a different sweep "
-            f"(checkpoint {str(header.get('sweep_sha256'))[:12]}…, this "
-            f"sweep {digest[:12]}…); refusing to merge unrelated results")
+def checkpoint_log(path: str, spec: SweepSpec,
+                    fsync: bool = False) -> DurableLog:
+    """The durable log behind a sweep checkpoint, pinned to *spec*."""
+    return DurableLog(
+        path, {"kind": CHECKPOINT_KIND, "version": CHECKPOINT_VERSION,
+               "total": len(spec.requests),
+               "sweep_sha256": sweep_digest(spec)},
+        noun="a sweep checkpoint", subject="sweep", fsync=fsync,
+        fault_site="checkpoint-write")
 
 
 def scan_checkpoint(path: str, spec: SweepSpec) -> CheckpointScan:
@@ -129,15 +106,9 @@ def scan_checkpoint(path: str, spec: SweepSpec) -> CheckpointScan:
     journal) surface double execution instead of silently masking it.
     """
     scan = CheckpointScan()
-    if not os.path.exists(path):
+    body = checkpoint_log(path, spec).read()
+    if body is None:
         return scan
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        return scan
-    _read_checkpoint_header(path, lines, spec)
-    body = scan_jsonl(path, lines[1:], first_line=2,
-                      description="checkpoint")
     scan.torn_tail = body.torn_tail
     total = len(spec.requests)
     for line_number, entry in body.entries:
@@ -167,7 +138,8 @@ def scan_checkpoint(path: str, spec: SweepSpec) -> CheckpointScan:
         scan.events.append(event)
         logger.warning(
             "checkpoint %s ends in a truncated line (crash mid-write); "
-            "the torn tail was ignored: %s", path, event)
+            "the torn tail was ignored and is cut on reopen: %s", path,
+            event)
     return scan
 
 
@@ -194,83 +166,36 @@ def compact_checkpoint(path: str, spec: SweepSpec) -> Dict[str, Any]:
     stats = {"completed": len(scan.completed),
              "duplicates_dropped": scan.duplicates,
              "torn_tail_repaired": scan.torn_tail}
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return stats
     if scan.duplicates or scan.torn_tail:
-        rewrite_jsonl(
-            path,
-            {"kind": CHECKPOINT_KIND, "version": CHECKPOINT_VERSION,
-             "total": len(spec.requests), "sweep_sha256": sweep_digest(spec)},
-            ({"index": index, "report": scan.completed[index].to_dict()}
-             for index in sorted(scan.completed)))
+        checkpoint_log(path, spec).compact(
+            {"index": index, "report": scan.completed[index].to_dict()}
+            for index in sorted(scan.completed))
     return stats
 
 
-def _write_header(handle, spec: SweepSpec, fsync: bool = False) -> None:
-    handle.write(json.dumps({
-        "kind": CHECKPOINT_KIND,
-        "version": CHECKPOINT_VERSION,
-        "total": len(spec.requests),
-        "sweep_sha256": sweep_digest(spec),
-    }, sort_keys=True) + "\n")
-    handle.flush()
-    if fsync:
-        os.fsync(handle.fileno())
-
-
-def _create_checkpoint(path: str, spec: SweepSpec, fsync: bool) -> None:
-    """Create a fresh checkpoint atomically: header to a temp file, then rename.
-
-    A crash anywhere before the :func:`os.replace` leaves no file at *path*
-    (only a stray temp file), never a torn header — so a later resume cannot
-    mistake a half-written header for corruption.
-    """
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            _write_header(handle, spec, fsync=fsync)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _append_completion(log, path: str, index: int, report: RunReport,
-                       fsync: bool, write_counter: int) -> None:
+def _append_completion(log: DurableLog, index: int,
+                       report: RunReport) -> None:
     """Append one completion line, retrying transient failures bounded times.
 
-    Before each retry the torn tail of the failed write is truncated away
-    (the offset was captured up front), so the log never accumulates partial
-    lines, and a :func:`checkpoint_retry_event` is recorded on the report's
-    ``metadata["resilience"]`` — which re-serializes into the retried line,
-    making the recovery itself durable.
+    The log cuts a failed append back to its line start, so retries never
+    leave partial lines; each retry records a :func:`checkpoint_retry_event`
+    on the report's ``metadata["resilience"]``, which re-serializes into the
+    retried line, making the recovery itself durable.
     """
-    controller = current_chaos()
-    line = json.dumps({"index": index, "report": report.to_dict()},
-                      sort_keys=True) + "\n"
     for attempt in range(1, _WRITE_RETRY.max_attempts + 1):
-        offset = log.tell()
         try:
-            if controller is not None and controller.take(
-                    "checkpoint-write", index=write_counter):
-                raise OSError("chaos: simulated checkpoint append failure")
-            log.write(line)
-            log.flush()
-            if fsync:
-                os.fsync(log.fileno())
+            log.append({"index": index, "report": report.to_dict()})
             return
-        except OSError as exc:
-            log.truncate(offset)
+        except CheckpointWriteError as failure:
+            exc = failure.__cause__ or failure
             if attempt >= _WRITE_RETRY.max_attempts:
                 raise CheckpointWriteError(
-                    f"checkpoint {path} append for request {index} failed "
-                    f"{attempt} times; last error: {exc}") from exc
-            delay = _WRITE_RETRY.delay(f"checkpoint:{path}:{index}", attempt)
+                    f"checkpoint {log.path} append for request {index} "
+                    f"failed {attempt} times; last error: {exc}") from exc
+            delay = _WRITE_RETRY.delay(f"checkpoint:{log.path}:{index}",
+                                       attempt)
             report.metadata.setdefault("resilience", []).append(
                 checkpoint_retry_event(attempt, exc, delay))
-            line = json.dumps({"index": index, "report": report.to_dict()},
-                              sort_keys=True) + "\n"
             time.sleep(delay)
 
 
@@ -308,34 +233,25 @@ def iter_sweep(spec: SweepSpec, checkpoint: Optional[str] = None,
                                          dict(spec.executor_params))
     else:
         runner, owned = resolve_executor(executor)
-    log = None
+    log = checkpoint_log(checkpoint, spec, fsync) if checkpoint else None
     with chaos_scope(chaos):
         try:
-            if checkpoint:
-                # A zero-byte file is a fresh start too: atomic creation
-                # never leaves one, so it cannot be a record of anything.
-                fresh = (not os.path.exists(checkpoint)
-                         or os.path.getsize(checkpoint) == 0)
-                if not fresh and not resume:
+            if log is not None:
+                if log.exists() and not resume:
                     # Never clobber an existing log: it may be the only
                     # record of a crashed sweep's completed requests.
                     raise ConfigurationError(
                         f"checkpoint {checkpoint} already exists; pass "
                         f"resume=True (repro sweep --resume) to continue it, "
                         f"or delete the file to start the sweep fresh")
-                if fresh:
-                    _create_checkpoint(checkpoint, spec, fsync)
-                log = open(checkpoint, "a", encoding="utf-8")
+                log.open()
             submitted = {}
             for index, request in remaining:
                 submitted[runner.submit(request)] = index
-            write_counter = 0
             for ticket, report in runner.iter_reports():
                 index = submitted[ticket]
                 if log is not None:
-                    _append_completion(log, checkpoint, index, report,
-                                       fsync, write_counter)
-                    write_counter += 1
+                    _append_completion(log, index, report)
                 yield index, report
         finally:
             if log is not None:

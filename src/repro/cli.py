@@ -128,7 +128,7 @@ from .api import (ENGINE_CHOICES, RegistryError, RunReport, RunRequest,
                   run_sweep)
 from .core.engine import ENGINES, set_default_engine
 from .experiments import run_all_experiments
-from .runtime.errors import ConfigurationError
+from .runtime.errors import CheckpointWriteError, ConfigurationError
 from .runtime.simulation import choose_faulty
 
 
@@ -609,7 +609,8 @@ def _command_sweep(args: argparse.Namespace) -> int:
                             resume=args.resume,
                             executor=_sweep_executor(args, spec),
                             fsync=args.fsync, chaos=chaos)
-    except (RegistryError, ConfigurationError, ValueError) as exc:
+    except (RegistryError, ConfigurationError, CheckpointWriteError,
+            ValueError) as exc:
         raise SystemExit(str(exc)) from None
     if args.json:
         print(json.dumps([report.to_dict() for report in reports],
@@ -961,7 +962,8 @@ def _command_mc(args: argparse.Namespace) -> int:
         result = run_mc(spec, checkpoint=args.checkpoint,
                         resume=args.resume, max_chunks=args.max_chunks,
                         progress=progress)
-    except (RegistryError, ConfigurationError, ValueError) as exc:
+    except (RegistryError, ConfigurationError, CheckpointWriteError,
+            ValueError) as exc:
         print("", file=sys.stderr)
         raise SystemExit(str(exc)) from None
     if not args.json and result.executed:

@@ -56,12 +56,13 @@ kind                   site                effect
 
 Activation is ambient: :func:`chaos_scope` installs a
 :class:`ChaosController` for the dynamic extent of a sweep or executor, and
-the injection points (:mod:`repro.runtime.sharding`, :mod:`repro.api.sweep`,
-:mod:`repro.api.executors`, and the serving layer :mod:`repro.serve`)
-consult :func:`current_chaos`.  Each injection
-fires a bounded number of ``times`` (default once) and every firing is
-recorded on the controller, so a schedule is a *deterministic* function of
-the execution it perturbs — no randomness, no wall-clock coupling.  Worker-
+the injection points (:mod:`repro.runtime.sharding`, the durable log's
+appends in :mod:`repro.api.jsonl`, :mod:`repro.api.executors`, and the
+serving layer :mod:`repro.serve`) consult :func:`current_chaos`.  Each
+injection fires a bounded number of ``times`` (default once) and every
+firing is recorded on the controller, so a schedule is a *deterministic*
+function of the execution it perturbs — no randomness, no wall-clock
+coupling.  Worker-
 side faults are claimed by the coordinator at spawn time and shipped to the
 worker as plain data, which is what makes "fire once, then the retry runs
 clean" hold across process boundaries.

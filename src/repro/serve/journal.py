@@ -18,10 +18,11 @@ the service was: ``completed`` entries warm-start the result cache
 (identical queries become cache hits, no re-execution), ``accepted``
 entries with no completion re-enqueue (runs are deterministic in
 ``(request, seed)``, so re-execution serves byte-identical outcomes), a
-torn final line — the append the crash interrupted — is tolerated and
-repaired by compaction, and duplicate completions are surfaced as a
-``duplicates`` count (the same double-execution accounting as
-:func:`repro.api.sweep.scan_checkpoint`) instead of being silently merged.
+torn final line — the append the crash interrupted — is tolerated, and
+cut away by compaction or by reopening for append, and duplicate
+completions are surfaced as a ``duplicates`` count (the same
+double-execution accounting as :func:`repro.api.sweep.scan_checkpoint`)
+instead of being silently merged.
 
 Journal appends are deliberately **fail-stop**: a failed append raises
 :class:`~repro.runtime.errors.CheckpointWriteError` so the service degrades
@@ -32,16 +33,12 @@ disk and the writer dies mid-append.
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..api.jsonl import rewrite_jsonl, scan_jsonl
+from ..api.jsonl import DurableLog
 from ..api.request import RunRequest
-from ..runtime.chaos import current_chaos
-from ..runtime.errors import CheckpointWriteError, ConfigurationError
+from ..runtime.errors import ConfigurationError
 
 JOURNAL_KIND = "repro-serve-journal"
 JOURNAL_VERSION = 1
@@ -71,32 +68,13 @@ class JournalReplay:
                 "torn_tail": self.torn_tail}
 
 
-def _parse_journal(path: str) -> "JournalReplay":
-    """Scan *path* into a :class:`JournalReplay` (no file means empty)."""
+def _parse_journal(log: DurableLog) -> "JournalReplay":
+    """Scan *log* into a :class:`JournalReplay` (no file means empty)."""
     replay = JournalReplay()
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
+    scan = log.read()
+    if scan is None:
         return replay
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        if len(lines) == 1:
-            raise ConfigurationError(
-                f"{path} has a torn header line and no entries — likely a "
-                f"crash while the journal was being created; delete the "
-                f"file to start fresh")
-        raise ConfigurationError(
-            f"{path} is not a serve journal (unreadable header line)")
-    if not isinstance(header, dict) or header.get("kind") != JOURNAL_KIND:
-        raise ConfigurationError(
-            f"{path} is not a serve journal (expected a {JOURNAL_KIND!r} "
-            f"header)")
-    if header.get("version") != JOURNAL_VERSION:
-        raise ConfigurationError(
-            f"{path} is a version {header.get('version')} journal; this "
-            f"build reads version {JOURNAL_VERSION}")
-    scan = scan_jsonl(path, lines[1:], first_line=2, description="journal")
+    path = log.path
     replay.torn_tail = scan.torn_tail
     accepted: Dict[str, RunRequest] = {}
     order: List[str] = []
@@ -141,23 +119,23 @@ class ServeJournal:
     """Append-only durable intent log for the agreement service.
 
     Thread-safe: admission appends from the event loop while workers append
-    completions, so every write holds one lock.  The header is created
-    atomically on first open (temp file + rename), matching the sweep
-    checkpoint's discipline, and existing journals are re-opened for append
-    after :meth:`replay` has consumed them.
+    completions, and the underlying :class:`~repro.api.jsonl.DurableLog`
+    serializes every write under one lock.  The header is created
+    atomically on first open, and existing journals are re-opened for
+    append (torn tail cut first) after :meth:`replay` has consumed them.
     """
 
     def __init__(self, path: str, fsync: bool = False) -> None:
         self.path = path
         self.fsync = fsync
-        self._lock = threading.Lock()
-        self._handle = None
-        self._writes = 0
+        self._log = DurableLog(
+            path, {"kind": JOURNAL_KIND, "version": JOURNAL_VERSION},
+            noun="a serve journal", fsync=fsync, fault_site="journal-write")
 
     # -- recovery ------------------------------------------------------------
     def replay(self) -> JournalReplay:
         """Read the journal back; call before :meth:`open` on restart."""
-        return _parse_journal(self.path)
+        return _parse_journal(self._log)
 
     def compact(self, replay: Optional[JournalReplay] = None
                 ) -> Dict[str, Any]:
@@ -168,89 +146,30 @@ class ServeJournal:
         completed requests are superseded by their completion and dropped).
         Atomic, like checkpoint compaction.  Returns the replay summary.
         """
-        with self._lock:
-            if self._handle is not None:
-                raise ConfigurationError(
-                    "compact the journal before opening it for append")
-            state = replay if replay is not None else self.replay()
-            if os.path.exists(self.path):
-                entries: List[Dict[str, Any]] = []
-                for digest, request in state.pending:
-                    entries.append({"event": "accepted", "id": digest,
-                                    "request": request.to_dict()})
-                for digest in sorted(state.completed):
-                    entries.append({"event": "completed", "id": digest,
-                                    "outcome": state.completed[digest]})
-                rewrite_jsonl(self.path,
-                              {"kind": JOURNAL_KIND,
-                               "version": JOURNAL_VERSION}, entries)
-            return state.summary()
+        state = replay if replay is not None else self.replay()
+        entries: List[Dict[str, Any]] = []
+        for digest, request in state.pending:
+            entries.append({"event": "accepted", "id": digest,
+                            "request": request.to_dict()})
+        for digest in sorted(state.completed):
+            entries.append({"event": "completed", "id": digest,
+                            "outcome": state.completed[digest]})
+        self._log.compact(entries)
+        return state.summary()
 
     # -- appending -----------------------------------------------------------
     def open(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                return
-            fresh = (not os.path.exists(self.path)
-                     or os.path.getsize(self.path) == 0)
-            if fresh:
-                tmp = f"{self.path}.tmp.{os.getpid()}"
-                try:
-                    with open(tmp, "w", encoding="utf-8") as handle:
-                        handle.write(json.dumps(
-                            {"kind": JOURNAL_KIND,
-                             "version": JOURNAL_VERSION},
-                            sort_keys=True) + "\n")
-                        handle.flush()
-                        if self.fsync:
-                            os.fsync(handle.fileno())
-                    os.replace(tmp, self.path)
-                except BaseException:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
-                    raise
-            self._handle = open(self.path, "a", encoding="utf-8")
+        self._log.open()
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-    def _append(self, entry: Dict[str, Any]) -> None:
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        with self._lock:
-            if self._handle is None:
-                raise ConfigurationError(
-                    "the serve journal is not open for append")
-            write_index = self._writes
-            self._writes += 1
-            controller = current_chaos()
-            try:
-                if controller is not None and controller.take(
-                        "journal-write", index=write_index):
-                    # A torn write IS the fault: leave the partial line on
-                    # disk (what a kill -9 mid-write leaves) and die loudly.
-                    self._handle.write(line[:max(1, len(line) // 2)])
-                    self._handle.flush()
-                    raise OSError("chaos: simulated torn journal append")
-                self._handle.write(line)
-                self._handle.flush()
-                if self.fsync:
-                    os.fsync(self._handle.fileno())
-            except OSError as exc:
-                # Fail-stop by design: the service must not keep accepting
-                # work it cannot make durable.  Recovery is the replay.
-                raise CheckpointWriteError(
-                    f"serve journal {self.path} append failed for "
-                    f"{entry.get('id', '?')[:12]}…: {exc}") from exc
+        self._log.close()
 
     def accepted(self, digest: str, request: RunRequest) -> None:
         """Journal an admitted request — called **before** it executes."""
-        self._append({"event": "accepted", "id": digest,
-                      "request": request.to_dict()})
+        self._log.append({"event": "accepted", "id": digest,
+                          "request": request.to_dict()})
 
     def completed(self, digest: str, outcome: Dict[str, Any]) -> None:
         """Journal a finished run's outcome (the cache warm-start record)."""
-        self._append({"event": "completed", "id": digest,
-                      "outcome": outcome})
+        self._log.append({"event": "completed", "id": digest,
+                          "outcome": outcome})

@@ -28,22 +28,22 @@ Checkpoint format (one JSON object per line)::
     {"chunk": 1, "trials_done": 512, "state": {...}}
     ...
 
-The reading discipline is the shared one of :mod:`repro.api.jsonl`: a torn
-final line is a crash artifact and is ignored; earlier corruption is
-refused; a header for a *different* campaign is refused.
+The log is a :class:`~repro.api.jsonl.DurableLog`: a torn final line is a
+crash artifact, ignored on read and cut away when the campaign resumes;
+earlier corruption is refused; a header for a *different* campaign is
+refused; a failed append raises
+:class:`~repro.runtime.errors.CheckpointWriteError`.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..api.executors import ExecutorSpec, resolve_executor
-from ..api.jsonl import scan_jsonl
+from ..api.jsonl import DurableLog
 from ..api.request import RunReport
 from ..runtime.errors import ConfigurationError
 from .cells import CellAggregate
@@ -133,24 +133,13 @@ class McResult:
         return self.complete and not self.problems
 
 
-def _create_mc_checkpoint(path: str, spec: McSpec) -> None:
-    """Atomic header creation: temp file + rename, like sweep checkpoints."""
-    header = json.dumps({
-        "kind": MC_CHECKPOINT_KIND,
-        "version": MC_CHECKPOINT_VERSION,
-        "total_trials": spec.total_trials,
-        "mc_sha256": mc_digest(spec),
-    }, sort_keys=True) + "\n"
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(header)
-            handle.flush()
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def mc_checkpoint_log(path: str, spec: McSpec) -> DurableLog:
+    """The durable log behind an MC checkpoint, pinned to *spec*."""
+    return DurableLog(
+        path, {"kind": MC_CHECKPOINT_KIND, "version": MC_CHECKPOINT_VERSION,
+               "total_trials": spec.total_trials,
+               "mc_sha256": mc_digest(spec)},
+        noun="an MC checkpoint", subject="campaign")
 
 
 def read_mc_checkpoint(path: str, spec: McSpec
@@ -163,34 +152,9 @@ def read_mc_checkpoint(path: str, spec: McSpec
     happened mid-append, the previous snapshot stands); corruption earlier
     in the file is refused loudly.
     """
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
+    body = mc_checkpoint_log(path, spec).read()
+    if body is None:
         return None, 0
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        raise ConfigurationError(
-            f"{path} is not an MC checkpoint (unreadable header line); "
-            f"delete the file to start the campaign fresh") from None
-    if not isinstance(header, dict) \
-            or header.get("kind") != MC_CHECKPOINT_KIND:
-        raise ConfigurationError(
-            f"{path} is not an MC checkpoint (expected a "
-            f"{MC_CHECKPOINT_KIND!r} header)")
-    if header.get("version") != MC_CHECKPOINT_VERSION:
-        raise ConfigurationError(
-            f"{path} is a version {header.get('version')} MC checkpoint; "
-            f"this build reads version {MC_CHECKPOINT_VERSION}")
-    digest = mc_digest(spec)
-    if header.get("mc_sha256") != digest:
-        raise ConfigurationError(
-            f"{path} was recorded for a different campaign "
-            f"(checkpoint {str(header.get('mc_sha256'))[:12]}…, this "
-            f"campaign {digest[:12]}…); refusing to merge unrelated "
-            f"statistics")
-    body = scan_jsonl(path, lines[1:], first_line=2,
-                      description="MC checkpoint")
     if body.torn_tail:
         logger.warning("MC checkpoint %s ends in a truncated line (crash "
                        "mid-append); resuming from the previous snapshot",
@@ -244,19 +208,16 @@ def run_mc(spec: McSpec, checkpoint: Optional[str] = None,
     state: Optional[McState] = None
     start_chunk = 0
     resumed_trials = 0
-    if checkpoint:
-        exists = (os.path.exists(checkpoint)
-                  and os.path.getsize(checkpoint) > 0)
+    log = mc_checkpoint_log(checkpoint, spec) if checkpoint else None
+    if log is not None:
         if resume:
             state, start_chunk = read_mc_checkpoint(checkpoint, spec)
             resumed_trials = state.trials_done if state else 0
-        elif exists:
+        elif log.exists():
             raise ConfigurationError(
                 f"checkpoint {checkpoint} already exists; pass resume=True "
                 f"(repro mc --resume) to continue it, or delete the file "
                 f"to start the campaign fresh")
-        if state is None:
-            _create_mc_checkpoint(checkpoint, spec)
     elif resume:
         raise ConfigurationError(
             "resume needs a checkpoint path to resume from")
@@ -277,11 +238,12 @@ def run_mc(spec: McSpec, checkpoint: Optional[str] = None,
                                          dict(spec.executor_params))
     else:
         runner, owned = resolve_executor(executor)
-    log = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
     end_chunk = spec.total_chunks
     if max_chunks is not None:
         end_chunk = min(end_chunk, start_chunk + max(0, max_chunks))
     try:
+        if log is not None:
+            log.open()
         for chunk in range(start_chunk, end_chunk):
             indices = spec.chunk_indices(chunk)
             tickets: Dict[int, int] = {}
@@ -298,10 +260,8 @@ def run_mc(spec: McSpec, checkpoint: Optional[str] = None,
             state.fold(spec, completions)
             executed += len(indices)
             if log is not None:
-                log.write(json.dumps(
-                    {"chunk": chunk, "trials_done": state.trials_done,
-                     "state": state.to_dict()}, sort_keys=True) + "\n")
-                log.flush()
+                log.append({"chunk": chunk, "trials_done": state.trials_done,
+                            "state": state.to_dict()})
             if progress is not None:
                 progress(chunk, state.trials_done, total)
     finally:

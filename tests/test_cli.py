@@ -443,3 +443,38 @@ class TestExperimentsCommand:
         assert code == 0
         assert "E8-dominance" in out
         assert "E1-theorem1-hybrid" not in out
+
+
+class TestCheckpointWriteFailure:
+    """A checkpoint that cannot be written ends the command in one line."""
+
+    def test_sweep_exits_with_one_line(self, tmp_path, capsys):
+        requests = tmp_path / "requests.json"
+        requests.write_text(json.dumps([
+            {"protocol": "exponential", "n": 4, "t": 1, "initial_value": 1}]))
+        chaos = tmp_path / "chaos.json"
+        chaos.write_text(json.dumps(
+            {"faults": [{"kind": "checkpoint-write-fail", "times": 3}]}))
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", str(requests), "--serial", "--checkpoint",
+                  str(tmp_path / "sweep.jsonl"), "--chaos", str(chaos)])
+        message = info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "failed 3 times" in message
+
+    def test_mc_exits_with_one_line(self, tmp_path, monkeypatch):
+        from repro.api.jsonl import DurableLog
+
+        def full_disk(log, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(DurableLog, "_write", full_disk)
+        checkpoint = tmp_path / "mc.jsonl"
+        with pytest.raises(SystemExit) as info:
+            main(["mc", "--protocol", "exponential", "--cell", "4,1",
+                  "--trials", "2", "--checkpoint", str(checkpoint)])
+        message = info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "append failed" in message and "No space left" in message
+        # The failed append was cut back: the header stands alone.
+        assert len(checkpoint.read_text().splitlines()) == 1
