@@ -135,7 +135,7 @@ def test_batched_matches_numpy_and_beats_it_at_scale():
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_facade_auto_resolves_to_batched_at_headline(monkeypatch):
+def test_facade_auto_resolves_to_batched_at_headline():
     """The façade path must reach the batched executor, not just run.
 
     ``engine="auto"`` on the headline Exponential cell has to resolve to the
@@ -143,7 +143,6 @@ def test_facade_auto_resolves_to_batched_at_headline(monkeypatch):
     ``execute_many`` sweeps compound batching with pool parallelism), and the
     report's run metadata is the proof.
     """
-    monkeypatch.delenv("REPRO_EIG_ENGINE", raising=False)
     label, _, _, n, t = NUMPY_GATE_CELL
     report = execute(RunRequest(protocol=label, n=n, t=t, initial_value=1,
                                 scenario="faulty-source-allies",

@@ -9,9 +9,8 @@ executing agreement runs:
   :class:`RunReport`, and :class:`SweepSpec`, JSON-round-trippable
   descriptions of runs, their outcomes, and whole sweeps;
 * **planner** (:mod:`.planner`) — ``engine="auto"`` resolution to
-  batched → numpy → fast based on spec eligibility and numpy availability,
-  with explicit choices overriding ambient (env-var / process-default)
-  settings loudly;
+  batched → numpy → fast based on spec eligibility and numpy availability;
+  the request alone decides a run's engine;
 * **executors** (:mod:`.executors`) — the pluggable execution layer
   (``submit``/``iter_reports``/``close``) with a name→factory registry:
   ``"serial"``, ``"pool"``, the row-sharding ``"sharded"`` backend for
@@ -46,8 +45,7 @@ from .executors import (DEFAULT_EXECUTOR, Executor, PoolExecutor,
 from ..runtime.chaos import ChaosPolicy, FaultInjection, chaos_scope
 from .facade import (execute, execute_grouped, execute_many,
                      execute_resilient, iter_execute, plan_request)
-from .planner import (ExecutionPlan, batched_ineligibility, plan_run,
-                      plan_shardable)
+from .planner import ExecutionPlan, batched_ineligibility, plan_run
 from .registries import (ParamSpec, RegistryEntry, RegistryError,
                          adversary_names, adversary_registry, build_adversary,
                          build_protocol, protocol_names, protocol_registry,
@@ -63,7 +61,7 @@ __all__ = [
     "SEED_POLICIES", "derive_seed",
     "execute", "execute_many", "execute_grouped", "execute_resilient",
     "iter_execute", "plan_request",
-    "ExecutionPlan", "plan_run", "plan_shardable", "batched_ineligibility",
+    "ExecutionPlan", "plan_run", "batched_ineligibility",
     "Executor", "SerialExecutor", "PoolExecutor", "ShardedRunExecutor",
     "SupervisedExecutor",
     "executor_registry", "executor_names", "build_executor",

@@ -18,10 +18,10 @@ machinery as the protocol/adversary registries):
     The substrate of ``execute`` and every fallback path.
 ``pool``
     The process-pool sweep executor previously hard-coded inside
-    ``execute_many``: one worker per request slot, ambient-engine
-    forwarding, completion-order streaming, and clean degradation to serial
-    for single requests / one-worker pools / platforms without process
-    spawning.
+    ``execute_many``: one worker per request slot, each re-planning its
+    request locally, completion-order streaming, and clean degradation to
+    serial for single requests / one-worker pools / platforms without
+    process spawning.
 ``sharded``
     The large-``n`` backend: each *single run* is row-sharded across worker
     processes (:mod:`repro.runtime.sharding`) — the coordinator keeps the
@@ -39,7 +39,10 @@ machinery as the protocol/adversary registries):
 
 Requests are executed exactly as :func:`repro.api.facade.execute` would —
 same planner, same reports — so swapping backends never changes results,
-only where the work happens.
+only where the work happens.  A request carries its whole engine choice: a
+worker process or thread needs nothing but the request to plan it, and each
+run driver scopes its plan's engine with
+:func:`~repro.core.engine.use_engine` for that run alone.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..core.engine import ambient_engine, use_engine
+from ..core.engine import use_engine
 from ..runtime.chaos import build_chaos, chaos_scope, current_chaos
 from ..runtime.errors import ConfigurationError, WorkerTimeoutError
 from ..runtime.supervision import (DEFAULT_LADDER, RetryPolicy,
@@ -125,14 +128,6 @@ class SerialExecutor(Executor):
             yield index, execute(request)
 
 
-def _pool_worker_init(ambient: Optional[str]) -> None:  # pragma: no cover
-    """Re-pin the parent's ambient engine inside a spawned pool worker."""
-    if ambient is not None:
-        from ..core.engine import set_default_engine
-        os.environ["REPRO_EIG_ENGINE"] = ambient
-        set_default_engine(ambient)
-
-
 def _execute_for_pool(request: RunRequest) -> RunReport:
     from .facade import execute
     return execute(request)
@@ -186,9 +181,7 @@ class PoolExecutor(Executor):
                 yield index, execute(request)
             return
         try:
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       initializer=_pool_worker_init,
-                                       initargs=(ambient_engine(),))
+            pool = ProcessPoolExecutor(max_workers=workers)
         except (OSError, PermissionError):  # pragma: no cover - sandboxes
             for index, request in pending:
                 yield index, execute(request)
@@ -325,9 +318,7 @@ def _rung_pool(request: RunRequest,
     previous attempt cannot leak into this one.
     """
     try:
-        pool = ProcessPoolExecutor(max_workers=1,
-                                   initializer=_pool_worker_init,
-                                   initargs=(ambient_engine(),))
+        pool = ProcessPoolExecutor(max_workers=1)
     except (OSError, PermissionError) as exc:  # pragma: no cover - sandboxes
         raise RungUnavailable(f"cannot spawn a pool worker: {exc}") from exc
     try:

@@ -3,9 +3,10 @@
 The CLI, the E1–E9 experiment harness, the examples, and the benchmarks all
 describe work as :class:`~repro.api.request.RunRequest` values and hand them
 here.  :func:`execute` resolves the request through the registries, asks the
-planner for an engine, runs the agreement instance (without mutating the
-process-wide default), and returns a structured
-:class:`~repro.api.request.RunReport`.
+planner for an engine, runs the agreement instance with that engine scoped
+to this run alone (:func:`~repro.core.engine.use_engine`, a context-local
+setting that concurrent runs on other threads never see), and returns a
+structured :class:`~repro.api.request.RunReport`.
 
 Sweeps run on the pluggable execution layer (:mod:`repro.api.executors`):
 :func:`iter_execute` streams ``(index, report)`` pairs through any executor
@@ -14,8 +15,7 @@ backend **as runs finish** — the primitive durable checkpointed sweeps
 :func:`execute_grouped` keep their historical list-shaped signatures as thin
 wrappers over the ``"pool"`` backend (one process per request slot, workers
 re-planning locally so eligible EIG cells compound whole-run **batched
-stepping** with cross-cell process parallelism, ambient engine constraints
-forwarded to spawned workers).
+stepping** with cross-cell process parallelism).
 """
 
 from __future__ import annotations

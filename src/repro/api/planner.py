@@ -1,12 +1,10 @@
 """The execution planner: resolve a request's ``engine`` to a concrete executor.
 
-Before this module existed, engine choice was scattered plumbing: callers
-threaded ``batched=`` flags into :func:`repro.runtime.simulation.run_agreement`
-and exported ``REPRO_EIG_ENGINE`` for the process pool by hand.  The planner
-centralises the decision.  Given a :class:`~repro.api.request.RunRequest` and
-the spec/config it resolves to, :func:`plan_run` returns an
-:class:`ExecutionPlan` saying which per-processor engine to install and
-whether to take the batched whole-run path.
+Given a :class:`~repro.api.request.RunRequest` and the spec/config it
+resolves to, :func:`plan_run` returns an :class:`ExecutionPlan` saying which
+per-processor engine the run's driver scopes and whether to take the
+batched whole-run path.  The plan is a function of the request alone: no
+process-wide setting or environment variable takes part.
 
 Resolution rules
 ----------------
@@ -19,22 +17,15 @@ eligible for::
     fast     — always available
     reference— never chosen automatically; it exists to be asked for
 
-unless the *environment* constrains the choice: ``REPRO_EIG_ENGINE`` or a
-:func:`~repro.core.engine.set_default_engine` call naming ``"fast"`` or
-``"reference"`` pins auto to that per-processor engine (an oracle or
-no-vectorization run stays one); an ambient ``"numpy"`` still upgrades to
-batched where eligible, because batched *is* the numpy layer.
-
-An **explicit** engine on the request always wins over the ambient settings —
-with a :class:`RuntimeWarning` naming both sides when they conflict, never
-silently.  An explicit ``"batched"`` on an ineligible run degrades to the best
-per-processor engine, also with a warning.
+An explicit ``"batched"`` on an ineligible run degrades to the best
+per-processor engine with a :class:`RuntimeWarning` naming the reason.  An
+explicit per-processor engine is taken as given.
 
 The planner decides the *engine*; the *executor backend* a run is placed on
 (:mod:`repro.api.executors` — serial, pool, or the sharded large-``n``
-backend) is orthogonal and chosen by the caller.  :func:`plan_shardable`
-answers the one question that couples them: whether a run's plan would let
-the sharded backend split its row stack (exactly the batched-eligible runs).
+backend) is orthogonal and chosen by the caller.  The sharded backend can
+row-split exactly the batched-eligible runs
+(:func:`batched_ineligibility` returns ``None``).
 """
 
 from __future__ import annotations
@@ -43,8 +34,8 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, FrozenSet, Optional
 
-from ..core.engine import (BATCHED, FAST, NUMPY, REFERENCE, ambient_engine,
-                           numpy_available, validate_engine)
+from ..core.engine import (BATCHED, FAST, NUMPY, numpy_available,
+                           validate_engine)
 from .request import AUTO, RunRequest
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -55,14 +46,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 class ExecutionPlan:
     """The planner's verdict for one run."""
 
-    #: The per-processor engine to install for the run's duration.
+    #: The per-processor engine the run's driver scopes.
     engine: str
     #: Whether to take the batched whole-run executor.
     batched: bool
     #: What the request asked for (``"auto"`` included).
     requested: str
-    #: The ambient constraint the planner saw, if any.
-    ambient: Optional[str]
     #: One line of human-readable justification (surfaces in ``--json`` docs).
     reason: str
 
@@ -103,70 +92,26 @@ def batched_ineligibility(spec: "ProtocolSpec", config: "ProtocolConfig",
     return None
 
 
-def _batched_eligible(spec: "ProtocolSpec", config: "ProtocolConfig",
-                      faulty: FrozenSet[int], adversary=None) -> bool:
-    return batched_ineligibility(spec, config, faulty, adversary) is None
-
-
-def plan_shardable(spec: "ProtocolSpec", config: "ProtocolConfig",
-                   faulty: FrozenSet[int] = frozenset(),
-                   adversary=None) -> bool:
-    """Whether the sharded run executor could row-split this run.
-
-    True exactly when the run is batched-eligible — the sharded backend is
-    the batched engine with its row stack partitioned across processes, so
-    the two share one eligibility rule.  Ineligible runs placed on a
-    ``"sharded"`` executor fall back to the ordinary planner path.  (An
-    adversary with a corruption hook still plans as shardable: the sharded
-    executor runs it single-process batched, preserving observational
-    identity.)
-    """
-    return _batched_eligible(spec, config, faulty, adversary)
-
-
 def plan_run(request: RunRequest, spec: "ProtocolSpec",
              config: "ProtocolConfig",
              faulty: FrozenSet[int] = frozenset(),
              adversary=None) -> ExecutionPlan:
-    """Resolve *request*'s engine choice against eligibility and environment."""
+    """Resolve *request*'s engine choice against the run's eligibility."""
     requested = request.engine
-    ambient = ambient_engine()
+    if requested not in (AUTO, BATCHED):
+        engine = validate_engine(requested)
+        return ExecutionPlan(engine=engine, batched=False,
+                             requested=requested,
+                             reason=f"explicit {engine!r} request")
 
-    if requested == AUTO:
-        if ambient in (FAST, REFERENCE):
-            return ExecutionPlan(
-                engine=ambient, batched=False, requested=requested,
-                ambient=ambient,
-                reason=f"auto deferred to the ambient {ambient!r} engine "
-                       f"(REPRO_EIG_ENGINE / set_default_engine)")
-        if _batched_eligible(spec, config, faulty, adversary):
-            return ExecutionPlan(
-                engine=NUMPY, batched=True, requested=requested,
-                ambient=ambient,
-                reason="auto: EIG spec eligible for whole-run batched "
-                       "stepping")
-        if numpy_available():
-            return ExecutionPlan(
-                engine=NUMPY, batched=False, requested=requested,
-                ambient=ambient,
-                reason="auto: batched-ineligible spec on the vectorized "
-                       "numpy engine")
+    ineligible = batched_ineligibility(spec, config, faulty, adversary)
+    if ineligible is None:
         return ExecutionPlan(
-            engine=FAST, batched=False, requested=requested, ambient=ambient,
-            reason="auto: numpy unavailable, flat-array fast engine")
-
+            engine=NUMPY, batched=True, requested=requested,
+            reason=("auto: EIG spec eligible for whole-run batched stepping"
+                    if requested == AUTO else "explicit batched request"))
+    fallback = NUMPY if numpy_available() else FAST
     if requested == BATCHED:
-        if ambient not in (None, NUMPY):
-            warnings.warn(
-                f"explicit engine='batched' overrides the ambient "
-                f"{ambient!r} engine (REPRO_EIG_ENGINE / set_default_engine)",
-                RuntimeWarning, stacklevel=3)
-        if _batched_eligible(spec, config, faulty, adversary):
-            return ExecutionPlan(
-                engine=NUMPY, batched=True, requested=requested,
-                ambient=ambient, reason="explicit batched request")
-        fallback = NUMPY if numpy_available() else FAST
-        ineligible = batched_ineligibility(spec, config, faulty, adversary)
         warnings.warn(
             f"engine='batched' is not supported for this run "
             f"({ineligible}); using the per-processor {fallback!r} engine "
@@ -174,18 +119,10 @@ def plan_run(request: RunRequest, spec: "ProtocolSpec",
             RuntimeWarning, stacklevel=3)
         return ExecutionPlan(
             engine=fallback, batched=False, requested=requested,
-            ambient=ambient,
             reason=f"batched unsupported here; per-processor {fallback!r} "
                    f"fallback")
-
-    # An explicit per-processor engine: it wins over the ambient settings,
-    # loudly when they disagree.
-    engine = validate_engine(requested)
-    if ambient is not None and ambient != engine:
-        warnings.warn(
-            f"explicit engine={engine!r} overrides the ambient {ambient!r} "
-            f"engine (REPRO_EIG_ENGINE / set_default_engine)",
-            RuntimeWarning, stacklevel=3)
-    return ExecutionPlan(engine=engine, batched=False, requested=requested,
-                         ambient=ambient,
-                         reason=f"explicit {engine!r} request")
+    return ExecutionPlan(
+        engine=fallback, batched=False, requested=requested,
+        reason=("auto: batched-ineligible spec on the vectorized numpy "
+                "engine" if fallback == NUMPY
+                else "auto: numpy unavailable, flat-array fast engine"))

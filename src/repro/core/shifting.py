@@ -123,8 +123,8 @@ class ShiftingEIGProcessor(AgreementProtocol):
     engine:
         ``"fast"`` (flat-array buffers, batched conversion, by-reference
         level messages) or ``"reference"`` (the dict-based executable
-        specification).  ``None`` selects the process default
-        (:func:`repro.core.engine.get_default_engine`).  Both engines produce
+        specification).  ``None`` selects the scoped engine
+        (:func:`repro.core.engine.current_engine`).  Both engines produce
         identical decisions, discoveries and metrics.
     """
 

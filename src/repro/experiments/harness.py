@@ -131,12 +131,13 @@ def _report_for_scenario(spec: ProtocolSpec, n: int, t: int,
                          scenario: Scenario) -> RunReport:
     """In-process run of one hand-built scenario, reported truthfully.
 
-    Hand-built scenarios execute under the process-default engine via
-    :func:`measure`; the report's engine audit trail records that engine
-    rather than pretending a planner ran.
+    Hand-built scenarios execute via :func:`measure` on the scoped engine
+    (``"fast"`` unless the caller opened a
+    :func:`~repro.core.engine.use_engine` scope); the report's engine audit
+    trail records that engine rather than pretending a planner ran.
     """
-    from ..core.engine import get_default_engine
-    engine = get_default_engine()
+    from ..core.engine import current_engine
+    engine = current_engine()
     return RunReport.from_result(measure(spec, n, t, scenario),
                                  engine=engine, engine_resolved=engine,
                                  scenario=scenario.name)

@@ -1,8 +1,8 @@
 """Static analysis for the reproduction: ``repro lint``.
 
 An AST-based auditor that machine-checks the invariants the rest of the
-stack merely documents: no ambient randomness or wall clocks in the
-engine path, deterministic filesystem and set iteration, registry schemas
+stack merely documents: no ambient randomness, wall clocks or
+environment reads in the engine path, deterministic filesystem and set iteration, registry schemas
 in sync with their factory constructors, ``to_dict``/``from_dict``
 parity, and fail-stop error discipline.  See
 :func:`repro.lint.engine.run_lint` for the pipeline and

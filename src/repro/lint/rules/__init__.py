@@ -12,6 +12,7 @@ from typing import Dict, List
 from .base import Rule
 from .contracts import RegistrySchemaSyncRule, RoundtripParityRule
 from .determinism import (
+    EnvironmentRule,
     GlobalRngRule,
     SetIterationRule,
     UnsortedFsScanRule,
@@ -22,6 +23,7 @@ from .errors import BroadExceptRule, SwallowedFailstopRule
 _RULE_CLASSES = (
     GlobalRngRule,
     WallClockRule,
+    EnvironmentRule,
     UnsortedFsScanRule,
     SetIterationRule,
     RegistrySchemaSyncRule,

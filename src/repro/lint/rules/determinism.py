@@ -1,9 +1,9 @@
-"""Determinism rules: ambient RNG, wall clocks, fs scan order, set order.
+"""Determinism rules: ambient RNG, wall clocks, environment, fs and set order.
 
 Everything the reproduction guarantees — byte-identical crash recovery,
 pure-function-of-(spec, seed) search, engine observational identity —
 assumes no code path reads ambient nondeterminism.  These rules make the
-four ways that assumption historically leaks machine-checked:
+five ways that assumption historically leaks machine-checked:
 
 * ``determinism/global-rng`` — drawing from the process-wide
   ``random`` module (or unseeded numpy generators) instead of a bound
@@ -11,6 +11,9 @@ four ways that assumption historically leaks machine-checked:
 * ``determinism/wall-clock`` — reading a clock inside the engine-path
   packages (``core``, ``adversary``, ``search``, ``stats``), whose outputs
   must be pure functions of their inputs;
+* ``determinism/environment`` — reading ``os.environ`` / ``os.getenv``
+  in those packages or in ``runtime`` and ``api``, where a run must be a
+  function of its request alone;
 * ``determinism/unsorted-fs-scan`` — consuming ``os.listdir``-family
   results without ``sorted(...)`` (directory order is filesystem-
   dependent);
@@ -59,6 +62,13 @@ _CLOCK_CALLS = frozenset({
 #: inputs (the engine path).  ``serve``/``runtime`` legitimately measure
 #: latency and deadlines; benchmarks and tests are outside the lint root.
 _CLOCK_SCOPED_PACKAGES = frozenset({"core", "adversary", "search", "stats"})
+
+#: Process-environment accessors.
+_ENVIRONMENT = frozenset({"os.environ", "os.environb", "os.getenv",
+                          "os.getenvb"})
+
+#: Subpackages that run a request: the engine path plus the run drivers.
+_ENVIRONMENT_SCOPED_PACKAGES = _CLOCK_SCOPED_PACKAGES | {"runtime", "api"}
 
 #: Directory-scan calls whose result order is filesystem-dependent.
 _FS_SCANS = frozenset({"os.listdir", "os.scandir", "glob.glob", "glob.iglob"})
@@ -123,6 +133,31 @@ class WallClockRule(Rule):
                         f"({package}/)",
                         "thread timing through the caller, or waive with "
                         "the proof that it never feeds results")
+
+
+class EnvironmentRule(Rule):
+    id = "determinism/environment"
+    severity = "error"
+    doc = ("no environment reads where runs execute (core/, adversary/, "
+           "search/, stats/, runtime/, api/): a run is a function of its "
+           "request")
+
+    def check(self, project: Project) -> Iterator[Finding]:
+        for module in project.iter_modules():
+            package = module.relpath.split("/", 1)[0]
+            if package not in _ENVIRONMENT_SCOPED_PACKAGES:
+                continue
+            for node in ast.walk(module.tree):
+                if not isinstance(node, (ast.Name, ast.Attribute)):
+                    continue
+                dotted = module.resolve(node)
+                if dotted in _ENVIRONMENT:
+                    yield self.finding(
+                        module, node,
+                        f"environment access ({dotted}) where runs execute "
+                        f"({package}/)",
+                        "carry the setting on the request (or as an "
+                        "explicit parameter) instead")
 
 
 def _under_sorted(node: ast.AST, parents: Dict[ast.AST, ast.AST]) -> bool:

@@ -148,8 +148,8 @@ def run_batched_if_supported(spec: "ProtocolSpec", config: "ProtocolConfig",
     participants = [p for p in correct if p != config.source]
     if not participants:
         return None
-    # The numpy engine becomes the process default for the duration of the
-    # run so any protocol machine the adversary builds outside the shadow
+    # The numpy engine is scoped for the duration of the run so any
+    # protocol machine the adversary builds outside the shadow
     # proxy stores ndarray levels and broadcasts NumpyLevelMessages, which
     # the claim-row builder ingests zero-copy.
     with use_engine(NUMPY):
@@ -462,7 +462,13 @@ class _BatchedRun(_StackedRowStepper):
                 self._round_one()
             else:
                 self._round(round_number)
-        return self._build_result()
+        result = self._build_result()
+        # The bound adversary's shadows and spec proxy point back at this
+        # runner; dropping the runner's edge breaks that cycle, so reference
+        # counting frees the row stack with the adversary instead of leaving
+        # it to an eventual full garbage collection.
+        del self.adversary
+        return result
 
     def _build_result(self) -> "RunResult":
         """Collect the per-participant observations held by this process."""

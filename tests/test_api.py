@@ -3,7 +3,7 @@
 Covers the registries (names, parameter schemas, error reporting), the
 RunRequest/RunReport JSON round trips — the property test sweeps every
 registered protocol × adversary pairing at small n — the engine planner's
-``auto`` resolution and explicit-overrides-ambient precedence, and the
+``auto`` resolution and explicit-engine requests, and the
 equivalence of façade executions to hand-built ``run_agreement`` calls.
 """
 
@@ -208,14 +208,7 @@ class TestScenarioRequests:
 
 
 class TestPlanner:
-    @pytest.fixture(autouse=True)
-    def _restore_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EIG_ENGINE", raising=False)
-        previous = engine_module.get_default_engine()
-        yield
-        engine_module.set_default_engine(previous)
-
-    @pytest.mark.skipif(not engine_module.batched_available(),
+    @pytest.mark.skipif(not engine_module.numpy_available(),
                         reason="numpy not installed")
     def test_auto_resolves_to_batched_for_eig_specs(self):
         # psl is OM(m) on the same shifting-EIG machine, so it batches too.
@@ -260,26 +253,7 @@ class TestPlanner:
             assert report.discovered == baseline.discovered
             assert report.metrics == baseline.metrics
 
-    def test_auto_defers_to_ambient_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EIG_ENGINE", "reference")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # deference must not warn
-            plan = plan_request(small_request("exponential"))
-        assert plan.resolved == "reference"
-
-    def test_explicit_engine_overrides_env_var_with_warning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EIG_ENGINE", "reference")
-        with pytest.warns(RuntimeWarning, match="overrides the ambient"):
-            report = execute(small_request("exponential", engine="fast"))
-        assert report.engine_resolved == "fast"
-
-    def test_explicit_engine_overrides_set_default_with_warning(self):
-        engine_module.set_default_engine("reference")
-        with pytest.warns(RuntimeWarning, match="overrides the ambient"):
-            report = execute(small_request("exponential", engine="fast"))
-        assert report.engine_resolved == "fast"
-
-    @pytest.mark.skipif(not engine_module.batched_available(),
+    @pytest.mark.skipif(not engine_module.numpy_available(),
                         reason="numpy not installed")
     def test_explicit_batched_degrades_with_warning_when_unsupported(self):
         with pytest.warns(RuntimeWarning, match="not supported"):
@@ -287,21 +261,26 @@ class TestPlanner:
         assert report.engine_resolved == "numpy"
         assert report.agreement
 
-    def test_unusable_numpy_env_falls_through_to_default_pin(self, monkeypatch):
-        # REPRO_EIG_ENGINE=numpy on a numpy-less box must not mask a
-        # set_default_engine("reference") pin from the planner.
-        monkeypatch.setenv("REPRO_EIG_ENGINE", "numpy")
-        monkeypatch.setattr(engine_module, "numpy_available", lambda: False)
-        engine_module.set_default_engine("reference")
-        assert engine_module.ambient_engine() == "reference"
+    def test_one_eligibility_probe_per_plan(self, monkeypatch):
+        probes = []
+        probe = planner_module.batched_ineligibility
 
-    def test_matching_explicit_and_ambient_do_not_warn(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EIG_ENGINE", "fast")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = execute(small_request("exponential", engine="fast"))
-        assert report.engine_resolved == "fast"
+        def counting(*args, **kwargs):
+            probes.append(args)
+            return probe(*args, **kwargs)
 
+        monkeypatch.setattr(planner_module, "batched_ineligibility", counting)
+        for protocol, engine in (("hybrid", "batched"), ("hybrid", "auto"),
+                                 ("exponential", "batched"),
+                                 ("exponential", "auto")):
+            probes.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                plan_request(small_request(protocol, engine=engine))
+            assert len(probes) == 1, (protocol, engine)
+        probes.clear()
+        plan_request(small_request("exponential", engine="fast"))
+        assert probes == []
 
 class TestExecuteMany:
     def test_parallel_matches_serial(self):

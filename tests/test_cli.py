@@ -1,7 +1,6 @@
 """Tests for the command-line interface (run / sweep / experiments)."""
 
 import json
-import os
 
 import pytest
 
@@ -78,17 +77,6 @@ class TestRunCommand:
 
 
 class TestEngineFlag:
-    @pytest.fixture(autouse=True)
-    def _restore_engine(self):
-        previous = engine_module.get_default_engine()
-        previous_env = os.environ.get("REPRO_EIG_ENGINE")
-        yield
-        engine_module.set_default_engine(previous)
-        if previous_env is None:
-            os.environ.pop("REPRO_EIG_ENGINE", None)
-        else:
-            os.environ["REPRO_EIG_ENGINE"] = previous_env
-
     def test_run_accepts_every_available_engine(self, capsys):
         for name in engine_module.available_engines():
             code = main(["run", "--protocol", "exponential", "--n", "7",
@@ -102,31 +90,20 @@ class TestEngineFlag:
                      "--adversary", "silent", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        expected = ("batched" if engine_module.batched_available()
+        expected = ("batched" if engine_module.numpy_available()
                     else "fast")
         assert payload["engine_resolved"] == expected
 
-    @pytest.mark.skipif(not engine_module.batched_available(),
+    @pytest.mark.skipif(not engine_module.numpy_available(),
                         reason="numpy not installed")
     def test_run_batched_flag(self, capsys):
         code = main(["run", "--protocol", "exponential", "--n", "7",
                      "--t", "2", "--adversary", "two-faced-source",
-                     "--source-faulty", "--batched", "--json"])
+                     "--source-faulty", "--engine", "batched", "--json"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["engine_resolved"] == "batched"
 
-    @pytest.mark.skipif(not engine_module.batched_available(),
-                        reason="numpy not installed")
-    def test_batched_flag_composes_with_numpy_engine(self, capsys):
-        # --batched runs on the numpy layer, so --engine numpy must not
-        # degrade it to the per-processor path.
-        code = main(["run", "--protocol", "exponential", "--n", "7",
-                     "--t", "2", "--adversary", "silent",
-                     "--batched", "--engine", "numpy", "--json"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["engine_resolved"] == "batched"
-
-    @pytest.mark.skipif(not engine_module.batched_available(),
+    @pytest.mark.skipif(not engine_module.numpy_available(),
                         reason="numpy not installed")
     def test_run_batched_falls_back_for_unsupported_spec(self, capsys):
         with pytest.warns(RuntimeWarning, match="not supported"):
@@ -142,23 +119,13 @@ class TestEngineFlag:
             main(["run", "--protocol", "exponential", "--n", "7", "--t", "2",
                   "--engine", "numpy"])
 
-    def test_explicit_engine_overrides_environment_with_warning(
-            self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_EIG_ENGINE", "reference")
-        with pytest.warns(RuntimeWarning, match="overrides the ambient"):
-            code = main(["run", "--protocol", "exponential", "--n", "7",
-                         "--t", "2", "--adversary", "silent",
-                         "--engine", "fast", "--json"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["engine_resolved"] == "fast"
-
-    def test_experiments_accept_engine(self, capsys):
-        code = main(["experiments", "--scale", "small", "--only", "E8",
-                     "--engine", "fast"])
-        assert code == 0
-        assert "E8-dominance" in capsys.readouterr().out
-        # The ambient choice is exported for parallel workers.
-        assert os.environ["REPRO_EIG_ENGINE"] == "fast"
+    def test_engine_is_chosen_only_by_run_engine(self, capsys):
+        # `repro run --engine` is the only engine flag.
+        for argv in (["run", "--batched"],
+                     ["experiments", "--engine", "fast"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        capsys.readouterr()
 
 
 class TestSweepCommand:
@@ -247,7 +214,7 @@ class TestSweepExecutors:
         assert code == 0
         assert json.loads(serial) == json.loads(capsys.readouterr().out)
 
-    @pytest.mark.skipif(not engine_module.batched_available(),
+    @pytest.mark.skipif(not engine_module.numpy_available(),
                         reason="numpy not installed")
     def test_sweep_sharded_executor(self, request_file, capsys):
         code = main(["sweep", request_file, "--executor", "sharded",
@@ -313,7 +280,7 @@ class TestSweepExecutors:
         assert code == 0
         reports = [RunReport.from_dict(item)
                    for item in json.loads(capsys.readouterr().out)]
-        expected = ("sharded" if engine_module.batched_available()
+        expected = ("sharded" if engine_module.numpy_available()
                     else "fast")
         assert reports[0].engine_resolved == expected
 
@@ -400,7 +367,7 @@ class TestValidateCommand:
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert [row["status"] for row in rows] == ["ok", "ok"]
-        expected = ("batched" if engine_module.batched_available()
+        expected = ("batched" if engine_module.numpy_available()
                     else "fast")
         assert rows[0]["resolved"] == expected
         assert rows[1]["resolved"] == "fast"

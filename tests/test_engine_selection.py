@@ -1,45 +1,32 @@
-"""Engine registry behaviour: selection, gating, and environment fallback.
+"""Engine registry behaviour: selection, gating, and per-run scoping.
 
 The numpy engine must stay strictly optional: it is registered only when
-numpy is importable, selecting it without numpy raises a clear error, and an
-environment request degrades to the default engine with a warning instead of
-silently changing behaviour.  An *invalid* ``REPRO_EIG_ENGINE`` value must
-likewise warn (naming both the bad value and the chosen fallback) rather than
-being swallowed.
+numpy is importable and selecting it without numpy raises a clear error.
+A run's engine is a function of its request alone: :func:`use_engine` scopes
+an engine to the current context, so nested scopes restore their outer
+engine and concurrent runs on other threads — through the façade or the
+serve layer — never build processors on each other's engine.
 """
 
 from __future__ import annotations
 
-import importlib
 import subprocess
 import sys
+import threading
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.api import RunRequest, execute, facade, plan_request
 from repro.core import engine as engine_module
-from repro.core.engine import (ENGINES, available_engines, numpy_available,
-                               set_default_engine, use_engine,
-                               validate_engine)
+from repro.core.engine import (ENGINES, available_engines, current_engine,
+                               numpy_available, use_engine, validate_engine)
+from repro.core.shifting import ShiftingEIGProcessor
+from repro.serve import AgreementService
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
-
-
-def _reload_engine_with_env(monkeypatch, value):
-    """Reload the engine module under a given ``REPRO_EIG_ENGINE`` setting."""
-    if value is None:
-        monkeypatch.delenv("REPRO_EIG_ENGINE", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_EIG_ENGINE", value)
-    return importlib.reload(engine_module)
-
-
-@pytest.fixture
-def reloaded_engine(monkeypatch):
-    """Yield a reload helper and restore the pristine module afterwards."""
-    yield lambda value: _reload_engine_with_env(monkeypatch, value)
-    monkeypatch.delenv("REPRO_EIG_ENGINE", raising=False)
-    importlib.reload(engine_module)
 
 
 class TestValidateEngine:
@@ -67,7 +54,8 @@ class TestValidateEngine:
         with pytest.raises(ValueError, match="requires numpy"):
             validate_engine("numpy")
         with pytest.raises(ValueError, match="requires numpy"):
-            set_default_engine("numpy")
+            with use_engine("numpy"):
+                pass
 
     def test_available_engines_reflects_gating(self, monkeypatch):
         assert set(available_engines()) <= set(ENGINES)
@@ -75,27 +63,148 @@ class TestValidateEngine:
         assert engine_module.available_engines() == ("fast", "reference")
 
 
-class TestEnvironmentFallback:
-    def test_invalid_env_value_warns_and_falls_back(self, reloaded_engine):
-        with pytest.warns(RuntimeWarning, match=r"'bogus'.*falling back.*'fast'"):
-            module = reloaded_engine("bogus")
-        assert module.get_default_engine() == "fast"
+class TestEngineScope:
+    def test_nested_scopes_restore_the_outer_engine(self):
+        with use_engine("reference"):
+            with use_engine("fast"):
+                assert current_engine() == "fast"
+            assert current_engine() == "reference"
+        assert current_engine() == "fast"
 
-    def test_numpy_env_without_numpy_warns_and_falls_back(self, monkeypatch,
-                                                          reloaded_engine):
-        # numpy_available() re-imports npsupport on every call, so patching
-        # npsupport.have_numpy survives the module reload under test.
-        from repro.core import npsupport
-        monkeypatch.setattr(npsupport, "have_numpy", lambda: False)
-        with pytest.warns(RuntimeWarning, match="numpy is not installed"):
-            module = reloaded_engine("numpy")
-        assert module.get_default_engine() == "fast"
+    def test_scope_is_invisible_to_other_threads(self):
+        seen = []
+        with use_engine("reference"):
+            worker = threading.Thread(
+                target=lambda: seen.append(current_engine()))
+            worker.start()
+            worker.join()
+        assert seen == ["fast"]
 
-    def test_valid_env_value_is_silent(self, reloaded_engine, recwarn):
-        module = reloaded_engine("reference")
-        assert module.get_default_engine() == "reference"
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, RuntimeWarning)]
+    def test_enclosing_scope_does_not_steer_the_planner(self):
+        request = RunRequest(protocol="exponential", n=7, t=2,
+                             initial_value=1, adversary="silent")
+        expected = plan_request(request).resolved
+        with use_engine("reference"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert plan_request(request).resolved == expected
+            fast = execute(request.with_engine("fast"))
+        assert fast.engine_resolved == "fast"
+
+
+def _hybrid_streams(count):
+    """An ``auto`` and a ``reference`` stream of hybrid b=3, n=10, t=3 runs.
+
+    Distinct seeds keep the serve cache (engine-independent by design) from
+    answering one stream with the other's results.
+    """
+    base = RunRequest(protocol="hybrid", protocol_params={"b": 3}, n=10,
+                      t=3, initial_value=1, scenario="faulty-source-allies",
+                      battery="worst-case")
+    return {engine: [replace(base, engine=engine, seed=offset + index)
+                     for index in range(count)]
+            for engine, offset in (("auto", 0), ("reference", 1000))}
+
+
+#: What each stream plans to: the hybrid is batched-ineligible, so ``auto``
+#: takes the per-processor numpy engine when it can.
+_PLANNED = {"auto": "numpy" if numpy_available() else "fast",
+            "reference": "reference"}
+
+
+def _run_threads(streams, handle):
+    """Run every stream on its own thread through *handle*; re-raise errors."""
+    errors = []
+    start = threading.Barrier(len(streams))
+
+    def drive(requests):
+        try:
+            start.wait()
+            for request in requests:
+                handle(request)
+        except BaseException as exc:  # surfaced below, on the test thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=drive, args=(requests,))
+               for requests in streams.values()]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+class TestConcurrentRunsKeepTheirEngines:
+    """Two threads running different engines at a tiny switch interval."""
+
+    @pytest.fixture(autouse=True)
+    def _fast_thread_switching(self):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_execute_threads_build_their_own_engine(self, monkeypatch):
+        streams = _hybrid_streams(40)
+        expected = _PLANNED
+        local = threading.local()
+        built = {engine: [] for engine in streams}
+
+        plan_run = facade.plan_run
+
+        def planning(*args, **kwargs):
+            # The eligibility probe builds a processor outside the run's
+            # scope; only processors built by the run itself count.
+            local.planning = True
+            try:
+                return plan_run(*args, **kwargs)
+            finally:
+                local.planning = False
+
+        init = ShiftingEIGProcessor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if not getattr(local, "planning", False):
+                built[local.stream].append(self.engine)
+
+        monkeypatch.setattr(facade, "plan_run", planning)
+        monkeypatch.setattr(ShiftingEIGProcessor, "__init__", recording_init)
+
+        def handle(request):
+            local.stream = request.engine
+            execute(request)
+
+        _run_threads(streams, handle)
+        for engine, engines in built.items():
+            assert engines, engine
+            leaked = [name for name in engines if name != expected[engine]]
+            assert leaked == [], (
+                f"{len(leaked)} of {len(engines)} processors of the "
+                f"{engine!r} stream built on another engine")
+
+    def test_serve_threads_leave_no_engine_behind(self):
+        service = AgreementService()
+        streams = _hybrid_streams(40)
+        expected = _PLANNED
+        served = {engine: [] for engine in streams}
+
+        def handle(request):
+            served[request.engine].append(service.handle(request).engine)
+
+        _run_threads(streams, handle)
+        for engine, engines in served.items():
+            assert engines == [expected[engine]] * len(engines), engine
+        fresh = RunRequest(protocol="exponential", n=7, t=2, initial_value=1,
+                           adversary="silent", seed=99)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = service.handle(fresh)
+        assert not result.cached
+        expected_fresh = "batched" if numpy_available() else "fast"
+        assert result.engine == expected_fresh
 
 
 class TestWithoutNumpyInstalled:

@@ -129,7 +129,7 @@ class TestShardedExecutor:
         with pytest.raises(ConfigurationError, match="at least one shard"):
             ShardedRunExecutor(shards=0)
 
-    @pytest.mark.skipif(not engine_module.batched_available(),
+    @pytest.mark.skipif(not engine_module.numpy_available(),
                         reason="numpy not installed")
     def test_reports_sharded_engine_resolution(self):
         request = small_requests(1)[0]
@@ -151,7 +151,7 @@ class TestShardedExecutor:
         assert report.engine_resolved != "sharded"
         assert report == execute(request)
 
-    @pytest.mark.skipif(not engine_module.batched_available(),
+    @pytest.mark.skipif(not engine_module.numpy_available(),
                         reason="numpy not installed")
     def test_observationally_identical_to_plain_execute(self):
         for request in small_requests(2, protocol="algorithm-a",

@@ -247,7 +247,7 @@ class TestEndToEnd:
         assert not report.agreement
 
 
-@pytest.mark.skipif(not engine_module.batched_available(),
+@pytest.mark.skipif(not engine_module.numpy_available(),
                     reason="numpy not installed")
 class TestCorruptionParity:
     """Spot checks that the corrupt_state hook fires identically everywhere

@@ -126,6 +126,41 @@ class TestWallClock:
 
 
 # ---------------------------------------------------------------------------
+# determinism/environment
+# ---------------------------------------------------------------------------
+
+class TestEnvironment:
+    RULE = "determinism/environment"
+
+    def test_catches_environment_reads_where_runs_execute(self, tmp_path):
+        result = lint_tree(tmp_path, {
+            "core/engine.py": """\
+                import os
+
+                def default_engine():
+                    return os.environ.get("ENGINE", "fast")
+                """,
+            "api/executors.py": """\
+                from os import environ, getenv
+
+                def workers():
+                    return getenv("WORKERS") or environ["CPUS"]
+                """}, rules=[self.RULE])
+        assert active_rules(result) == [self.RULE]
+        assert len(result.active) == 3
+        assert result.exit_code == 1
+
+    def test_passes_outside_scoped_packages(self, tmp_path):
+        result = lint_tree(tmp_path, {"serve/http.py": """\
+            import os
+
+            def port():
+                return int(os.environ.get("PORT", "8484"))
+            """}, rules=[self.RULE])
+        assert result.active == []
+
+
+# ---------------------------------------------------------------------------
 # determinism/unsorted-fs-scan
 # ---------------------------------------------------------------------------
 
@@ -729,7 +764,7 @@ class TestCli:
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out == rule_names()
-        assert len(out) == 8
+        assert len(out) == 9
 
     def test_dirty_tree_exits_one(self, tmp_path, capsys):
         root = tmp_path / "dirty"
@@ -798,7 +833,7 @@ class TestSelfLint:
     def test_src_repro_is_clean(self):
         """The shipped tree passes its own audit (waivers all reasoned)."""
         result = run_lint(REPRO_ROOT, package="repro")
-        assert len(result.rules) == 8
+        assert len(result.rules) == 9
         assert result.active == []
         assert result.exit_code == 0
         for finding in result.findings:
