@@ -257,26 +257,13 @@ class ShardedRunExecutor(Executor):
         self.deadline = deadline
 
     def iter_reports(self) -> Iterator[Tuple[int, RunReport]]:
-        for index, request in self._take_pending():
-            yield index, self._execute_one(request)
-
-    def _execute_one(self, request: RunRequest) -> RunReport:
-        from ..runtime.sharding import run_sharded_if_supported
         from .facade import execute
-        from .planner import plan_run
-        spec, config, faulty, adversary = request.resolve_parts()
-        plan = plan_run(request, spec, config, faulty, adversary)
-        if plan.batched:
-            with use_engine(plan.engine):
-                result = run_sharded_if_supported(spec, config, faulty,
-                                                  adversary, request.seed,
-                                                  shards=self.shards,
-                                                  deadline=self.deadline)
-            if result is not None:
-                return RunReport.from_result(
-                    result, engine=request.engine, engine_resolved="sharded",
-                    scenario=request.scenario, seed=request.seed)
-        return execute(request)
+        for index, request in self._take_pending():
+            try:
+                report = _rung_sharded(request, self.shards, self.deadline)
+            except RungUnavailable:
+                report = execute(request)
+            yield index, report
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ stepping** with cross-cell process parallelism).
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.engine import use_engine
@@ -104,14 +103,7 @@ def execute_many(requests: Iterable[RunRequest], parallel: bool = True,
     for streaming or a different backend.)
     """
     requests = list(requests)
-    if not requests:
-        return []
-    if not parallel or len(requests) == 1:
-        return [execute(request) for request in requests]
-    max_workers = max(1, min(max_workers or os.cpu_count() or 1,
-                             len(requests)))
-    if max_workers == 1:
-        # A one-worker pool is serial execution plus fork overhead.
+    if not parallel:
         return [execute(request) for request in requests]
     reports: Dict[int, RunReport] = {}
     with PoolExecutor(max_workers=max_workers) as runner:

@@ -31,9 +31,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterable, List, Sequence, Set
 
-from .npsupport import (DEFAULT_CODE, MISSING_CODE, SMALL_KERNEL_ELEMENTS,
-                        VALUE_CODEC, require_numpy, strict_majority,
-                        vote_windows, window_tallies)
+from .npsupport import (SMALL_KERNEL_ELEMENTS, VALUE_CODEC, require_numpy,
+                        window_tallies)
 from .sequences import (LabelSequence, ProcessorId, SequenceIndex,
                         corresponding_processor)
 from .tree import MISSING, FlatEIGTree, InfoGatheringTree
@@ -176,97 +175,35 @@ def discover_at_level_flat(tree: FlatEIGTree, level: int,
 
 
 # ---------------------------------------------------------------------------
-# The numpy engine's discovery: one bincount majority vote per level
+# The numpy engines' discovery: one bincount majority vote per level stack
 # ---------------------------------------------------------------------------
 
-def _window_triggers_numpy(np, child_codes, parents_size: int, branch: int,
-                           child_labels, suspects: Set[ProcessorId],
-                           budget: int, n: int, num_codes: int):
-    """Per-parent boolean: does the Fault Discovery Rule fire on this window?
-
-    One ``bincount`` over offset codes tallies every parent's child window at
-    once; a window triggers when no code holds a strict majority of the
-    branch, or when more than *budget* children outside *suspects* deviate
-    from the majority.  (A strict majority is unique, so the argmax tie-break
-    never matters.)
-    """
-    mat = vote_windows(child_codes, parents_size, branch)
-    best, has_majority = strict_majority(window_tallies(mat, num_codes),
-                                         branch)
-    suspect_lut = np.zeros(n, dtype=bool)
-    if suspects:
-        suspect_lut[list(suspects)] = True
-    unlisted = ~suspect_lut[child_labels.reshape(parents_size, branch)]
-    deviating = ((mat != best[:, None]) & unlisted).sum(axis=1)
-    return ~has_majority | (deviating > budget)
-
-
-def _charge_examined_parents(triggers, ids, discovered: Set[ProcessorId],
-                             label: ProcessorId) -> int:
-    """Replicate the reference pass's early-skip accounting for one label.
-
-    The reference scans parents in node-id order and skips a parent once its
-    corresponding processor is already discovered, so for each label only the
-    parents up to (and including) the first triggering one are examined —
-    i.e. charged.  *ids* must be ascending (the index tables are built in
-    node-id order).  Returns the examined count; updates *discovered*.
-    """
-    fired = triggers[ids]
-    if fired.any():
-        first = ids[int(fired.argmax())]
-        discovered.add(int(label))
-        return int((ids <= first).sum())
-    return int(ids.size)
-
-
-def _scan_parent_labels(index: SequenceIndex, parent_level: int, triggers,
-                        present, suspects: Set[ProcessorId],
-                        discovered: Set[ProcessorId],
-                        charge_per_parent: int) -> int:
-    """One label scan over precomputed per-parent *triggers*.
-
-    The per-label half of every vectorized discovery pass, shared by the
-    per-processor kernels and the batched run executor: walks the (≤ n)
-    sender labels of *parent_level*, skips suspects and already-discovered
-    labels, optionally filters to *present* parents, and applies the
-    reference early-skip charge accounting.  Updates *discovered* in place
-    and returns the meter charge.
-    """
-    charge = 0
-    for label, ids in index.ids_by_label_np(parent_level).items():
-        if label in suspects or label in discovered:
-            continue
-        if present is not None:
-            ids = ids[present[ids]]
-            if ids.size == 0:
-                continue
-        charge += charge_per_parent * _charge_examined_parents(
-            triggers, ids, discovered, label)
-    return charge
-
-
-def _scan_fired_labels(index: SequenceIndex, parent_level: int, fired_ids,
-                       suspects: Set[ProcessorId],
+def _scan_fired_labels(labels, ids_by_label: Dict[ProcessorId, List[int]],
+                       fired_ids, suspects: Set[ProcessorId],
                        discovered: Set[ProcessorId],
                        charge_per_parent: int) -> int:
-    """The label scan of :func:`_scan_parent_labels` driven by fired ids.
+    """The per-label scan of a discovery pass, driven by fired parent ids.
 
-    Equivalent to the numpy scan when every parent is present (the batched
-    executor's invariant — its gathers store whole levels), but costs
-    ``O(|fired| + labels)`` python steps instead of several ndarray
-    operations per label: *fired_ids* are the ascending parent ids whose
-    window triggered; a label is discovered at its first fired id and charged
-    for the ids up to (and including) it, all others are charged in full.
+    Replicates the reference pass's early-skip accounting: the reference
+    scans parents in node-id order and skips a parent once its
+    corresponding processor is suspect or already discovered, so for each
+    label only the parents up to (and including) the first triggering one
+    are examined — i.e. charged.  *labels* maps a parent id to its last
+    label, *ids_by_label* lists each label's examined parent ids in
+    ascending order, and *fired_ids* are the ascending examined parent ids
+    whose window triggered.  A label is discovered at its first fired id and
+    charged for the ids up to (and including) it, all others are charged in
+    full — ``O(|fired| + labels)`` python steps.  Updates *discovered* in
+    place and returns the meter charge.
     """
     from bisect import bisect_right
     first_fired: Dict[ProcessorId, int] = {}
-    labels = index.last_labels(parent_level)
     for parent_id in fired_ids:
         label = labels[parent_id]
         if label not in first_fired:
             first_fired[label] = parent_id
     charge = 0
-    for label, ids in index.ids_by_label_py(parent_level).items():
+    for label, ids in ids_by_label.items():
         if label in suspects or label in discovered:
             continue
         first = first_fired.get(label)
@@ -310,19 +247,19 @@ def _fired_ids_python(child_rows, parents_size: int, branch: int, labels,
     return fired
 
 
-def quiet_scan_charge(index: SequenceIndex, parent_level: int,
-                      parents_size: int, skip_labels,
+def quiet_scan_charge(ids_by_label: Dict[ProcessorId, List[int]],
+                      examined: int, skip_labels,
                       charge_per_parent: int) -> int:
     """The meter charge of a label scan in which no window fired.
 
     Exactly what :func:`_scan_fired_labels` would bill — every parent whose
-    label is not skipped, in full — computed in ``O(|skip_labels|)`` from the
-    interned per-label id lists.  Shared by both batched discovery passes so
-    the reference charge accounting lives in one place.
+    label is not skipped, in full — computed in ``O(|skip_labels|)`` from
+    the per-label id lists, which hold *examined* ids in all.  Shared by
+    both discovery passes so the reference charge accounting lives in one
+    place.
     """
-    ids_by_label = index.ids_by_label_py(parent_level)
     skipped = sum(len(ids_by_label.get(label, ())) for label in skip_labels)
-    return charge_per_parent * (parents_size - skipped)
+    return charge_per_parent * (examined - skipped)
 
 
 def batched_fired_ids(child_stacks, parents_size: int, branch: int,
@@ -358,16 +295,18 @@ def batched_window_triggers(child_stacks, parents_size: int, branch: int,
                             num_codes: int):
     """Per-``(participant, parent)`` Fault Discovery triggers for a whole run.
 
-    2-D twin of :func:`_window_triggers_numpy`: *child_stacks* is the
-    ``(participants, level_size)`` stack of one level (no ``MISSING_CODE``
-    entries — the batched executor stores whole levels), *child_slots* the
-    child level's ``slots_np`` table, *suspect_sets* each participant's
-    ``L_p``, and *budgets* the per-participant ``t − |L_p|``.  One
-    ``bincount`` over the ``(participants · parents, branch)`` reshape
-    tallies every window of every participant at once; the unlisted-deviation
-    count is derived from the tallies (``branch − best's tally``) minus a
-    per-suspect-label slot fixup, avoiding any ``(participants, parents,
-    branch)`` temporary.
+    *child_stacks* is the ``(participants, level_size)`` stack of one level
+    as the rules read it (no ``MISSING_CODE`` entries — see
+    :meth:`~repro.core.npsupport.BatchedEIGState.voting_stack`), and a
+    window triggers when no code holds a strict majority of the branch, or
+    when more than *budget* children outside *suspects* deviate from the
+    majority.  *child_slots* is the child level's ``slots_np`` table,
+    *suspect_sets* each participant's ``L_p``, and *budgets* the
+    per-participant ``t − |L_p|``.  One ``bincount`` over the
+    ``(participants · parents, branch)`` reshape tallies every window of
+    every participant at once; the unlisted-deviation count is derived from
+    the tallies (``branch − best's tally``) minus a per-suspect-label slot
+    fixup, avoiding any ``(participants, parents, branch)`` temporary.
 
     Returns ``(triggers, best, best_count)``, all ``(participants, parents)``:
     besides the trigger mask, each window's top code and its tally — the
@@ -404,68 +343,21 @@ def batched_window_triggers(child_stacks, parents_size: int, branch: int,
     return triggers, best, best_count
 
 
-def discover_at_level_numpy(tree, level: int,
-                            suspects: Set[ProcessorId], t: int,
-                            meter: ComputationMeter = None) -> Set[ProcessorId]:
-    """ndarray counterpart of :func:`discover_at_level_flat`.
-
-    One vectorized majority vote over the ``(parents, branch)`` reshape of the
-    level's code buffer replaces the per-node Python loop; only the
-    charge bookkeeping (a loop over the ≤ n sender labels) stays scalar.
-    Decisions, discoveries and meter totals are identical to both other
-    engines.
-    """
-    np = require_numpy()
-    discovered: Set[ProcessorId] = set()
-    if level < 2 or level > tree.num_levels:
-        return discovered
-    index = tree.index
-    child_codes = tree.raw_level(level)
-    parent_codes = tree.raw_level(level - 1)
-    branch = index.branch(level - 1)
-    parents_size = index.level_size(level - 1)
-    budget = t - len(suspects)
-    cleaned = np.where(child_codes == MISSING_CODE, DEFAULT_CODE, child_codes)
-    triggers = _window_triggers_numpy(
-        np, cleaned, parents_size, branch, index.last_labels_np(level),
-        suspects, budget, tree.n, len(VALUE_CODEC))
-    present = parent_codes != MISSING_CODE
-    charge = _scan_parent_labels(index, level - 1, triggers, present,
-                                 suspects, discovered, 2 * branch)
-    if meter is not None:
-        meter.charge(charge)
-    return discovered
-
-
 def discover_during_conversion_numpy(index: SequenceIndex,
                                      converted_levels,
                                      num_levels: int,
                                      suspects: Set[ProcessorId], t: int,
-                                     meter: ComputationMeter = None
+                                     meter: ComputationMeter
                                      ) -> Set[ProcessorId]:
     """ndarray counterpart of :func:`discover_during_conversion_flat`.
 
     ``converted_levels`` is the output of
-    :func:`repro.core.resolve.numpy_resolve_levels` (code arrays).  A label
-    discovered at one level is skipped — and not charged — at every deeper
-    level, exactly like the scalar passes.
+    :func:`repro.core.resolve.numpy_resolve_levels` (1-D code arrays); the
+    pass is a one-row call of :func:`discover_during_conversion_batched`.
     """
-    np = require_numpy()
-    discovered: Set[ProcessorId] = set()
-    budget = t - len(suspects)
-    charge = 0
-    for level in range(1, num_levels):
-        branch = index.branch(level)
-        parents_size = index.level_size(level)
-        triggers = _window_triggers_numpy(
-            np, converted_levels[level], parents_size, branch,
-            index.last_labels_np(level + 1), suspects, budget,
-            index.n, len(VALUE_CODEC))
-        charge += _scan_parent_labels(index, level, triggers, None, suspects,
-                                      discovered, branch)
-    if meter is not None:
-        meter.charge(charge)
-    return discovered
+    return discover_during_conversion_batched(
+        index, [codes.reshape(1, -1) for codes in converted_levels],
+        num_levels, [suspects], t, [meter])[0]
 
 
 def discover_during_conversion_batched(index: SequenceIndex,
@@ -475,15 +367,19 @@ def discover_during_conversion_batched(index: SequenceIndex,
                                        t: int,
                                        meters: Sequence[ComputationMeter]
                                        ) -> List[Set[ProcessorId]]:
-    """Whole-run counterpart of :func:`discover_during_conversion_numpy`.
+    """The Fault Discovery Rule During Conversion for a whole run.
 
     *converted_stacks* is the output of
     :func:`repro.core.resolve.batched_resolve_levels` (one
     ``(participants, level_size)`` code stack per level); *suspect_sets* holds
     each participant's ``L_p`` at conversion time.  One 2-D trigger kernel per
-    level serves every participant; the per-label scan — and therefore every
-    decision and meter charge — is the per-processor pass verbatim, row by
-    row.
+    level serves every participant, then the per-label scan settles each
+    row's decisions and meter charges exactly as the reference pass would.
+    Every converted node exists, so every parent is examined, as in the
+    flat pass (the reference pass examines the tree's stored parents; the
+    two agree on the whole trees the protocols grow).  The per-processor
+    numpy engine calls this with one row
+    (:func:`discover_during_conversion_numpy`).
     """
     count = len(suspect_sets)
     discovered: List[Set[ProcessorId]] = [set() for _ in range(count)]
@@ -493,17 +389,19 @@ def discover_during_conversion_batched(index: SequenceIndex,
     for level in range(1, num_levels):
         branch = index.branch(level)
         parents_size = index.level_size(level)
+        labels = index.last_labels(level)
+        ids_by_label = index.ids_by_label_py(level)
         fired, _votes = batched_fired_ids(
             converted_stacks[level], parents_size, branch, index, level + 1,
             suspect_sets, budgets, num_codes)
         for i in range(count):
             if not fired[i]:
                 charges[i] += quiet_scan_charge(
-                    index, level, parents_size,
+                    ids_by_label, parents_size,
                     suspect_sets[i] | discovered[i], branch)
                 continue
             charges[i] += _scan_fired_labels(
-                index, level, fired[i],
+                labels, ids_by_label, fired[i],
                 suspect_sets[i], discovered[i], branch)
     for i, meter in enumerate(meters):
         meter.charge(charges[i])

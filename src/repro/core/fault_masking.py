@@ -25,9 +25,9 @@ from typing import Dict, FrozenSet, Iterable, List, Set
 
 from .fault_discovery import (FaultTracker, _scan_fired_labels,
                               batched_fired_ids, discover_at_level,
-                              discover_at_level_flat,
-                              discover_at_level_numpy, quiet_scan_charge)
-from .npsupport import DEFAULT_CODE, MISSING_CODE, VALUE_CODEC, require_numpy
+                              discover_at_level_flat, quiet_scan_charge)
+from .npsupport import (DEFAULT_CODE, MISSING_CODE, VALUE_CODEC,
+                        BatchedEIGState, require_numpy)
 from .sequences import ProcessorId
 from .tree import MISSING, FlatEIGTree, InfoGatheringTree, NumpyEIGTree
 from .values import DEFAULT_VALUE, Value
@@ -79,11 +79,14 @@ def discover_and_mask(tree: InfoGatheringTree, level: int,
     Returns the set of processors newly added to ``L_p`` during this round.
     Flat-engine trees take a buffer-level path with identical semantics and
     meter accounting (discovery scans the level slice in place; masking
-    rewrites exactly the slots of the freshly discovered senders).
+    rewrites exactly the slots of the freshly discovered senders).  Numpy
+    trees are a one-row call of :func:`discover_and_mask_batched` over the
+    tree's own level buffers, so masking writes through to the tree.
     """
     if isinstance(tree, NumpyEIGTree):
-        return _discover_and_mask_numpy(tree, level, tracker, round_number,
-                                        masked_value)
+        return discover_and_mask_batched(
+            BatchedEIGState.of_tree(tree), level, [tracker], round_number,
+            [tree.meter], masked_value)[0]
     if isinstance(tree, FlatEIGTree):
         return _discover_and_mask_flat(tree, level, tracker, round_number,
                                        masked_value)
@@ -127,38 +130,6 @@ def _discover_and_mask_flat(tree: FlatEIGTree, level: int,
                 if buffer[slot] is not MISSING:
                     buffer[slot] = masked_value
                     rewritten += 1
-        tree.meter.charge(rewritten)
-    return newly_discovered
-
-
-def _discover_and_mask_numpy(tree: NumpyEIGTree, level: int,
-                             tracker: FaultTracker, round_number: int,
-                             masked_value: Value = DEFAULT_VALUE
-                             ) -> Set[ProcessorId]:
-    """Fixpoint of vectorized discovery and fancy-indexed slot masking."""
-    newly_discovered: Set[ProcessorId] = set()
-    if level < 2 or level > tree.num_levels:
-        return newly_discovered
-    buffer = tree.raw_level(level)
-    slots_table = tree.index.slots_np(level)
-    masked_code = VALUE_CODEC.code(masked_value)
-    while True:
-        fresh = discover_at_level_numpy(tree, level, tracker.suspects,
-                                        tracker.t, meter=tree.meter)
-        fresh = {pid for pid in fresh if pid not in tracker}
-        if not fresh:
-            break
-        tracker.add_all(fresh, round_number)
-        newly_discovered |= fresh
-        rewritten = 0
-        for pid in fresh:
-            entry = slots_table.get(pid)
-            if entry is None:
-                continue
-            slots = entry[0]
-            stored = slots[buffer[slots] != MISSING_CODE]
-            buffer[stored] = masked_code
-            rewritten += int(stored.size)
         tree.meter.charge(rewritten)
     return newly_discovered
 
@@ -207,14 +178,18 @@ def discover_and_mask_batched(state, level: int,
                               ) -> List[Set[ProcessorId]]:
     """Whole-run fixpoint of batched discovery and row-slice masking.
 
-    2-D twin of :func:`_discover_and_mask_numpy`: per fixpoint iteration one
-    ``bincount`` trigger kernel covers every still-active participant, then
-    the per-label scan, tracker updates, slot masking, and meter charges run
-    row by row exactly as the per-processor pass would.  A participant whose
-    scan finds nothing fresh is deactivated — its row can no longer change
-    (masking only rewrites the owner's row) — which reproduces the
-    per-processor fixpoint's termination and charge accounting verbatim.
-    Returns the per-participant sets of newly discovered processors.
+    Per fixpoint iteration one ``bincount`` trigger kernel covers every
+    still-active participant, then the per-label scan, tracker updates, slot
+    masking, and meter charges run row by row exactly as the reference pass
+    would.  A participant whose scan finds nothing fresh is deactivated —
+    its row can no longer change (masking only rewrites the owner's row) —
+    which reproduces the reference fixpoint's termination and charge
+    accounting verbatim.  Returns the per-participant sets of newly
+    discovered processors.  The per-processor numpy engine calls this with
+    a one-row state (:meth:`~repro.core.npsupport.BatchedEIGState.of_tree`);
+    when that state is not ``whole``, absent children vote as the default,
+    absent parents are not examined, and only stored slots are masked and
+    charged, as in the reference rule.
 
     The trigger kernel's per-window ``(best, best_count)`` votes of the
     leaf level are kept on *state* (``BatchedEIGState.set_leaf_votes``): each
@@ -235,13 +210,24 @@ def discover_and_mask_batched(state, level: int,
     parents_size = index.level_size(level - 1)
     slots_table = index.slots_np(level)
     masked_code = VALUE_CODEC.code(masked_value)
-    # Batched levels are stored whole (the BatchedEIGState invariant), so the
-    # per-processor kernels' MISSING-substitution and parent-presence passes
-    # are no-ops here and every parent is examined.
+    labels = index.last_labels(level - 1)
+    # Each row's examined parents by label, their count, and (unless the
+    # state is whole) which parents are stored.
+    ids_by_label = index.ids_by_label_py(level - 1)
+    scans = [(ids_by_label, parents_size, None)] * count
+    stored = None
+    if not state.whole:
+        stored = child_stack != MISSING_CODE
+        scans = [({label: [p for p in ids if present[p]]
+                   for label, ids in ids_by_label.items()},
+                  sum(present), present)
+                 for present in (state.raw_stack(level - 1)
+                                 != MISSING_CODE).tolist()]
     active = list(range(count))
     votes = None
     while active:
-        rows = child_stack[active] if len(active) < count else child_stack
+        stack = state.voting_stack(level)
+        rows = stack[active] if len(active) < count else stack
         budgets = []
         suspect_sets = []
         for i in active:
@@ -261,16 +247,19 @@ def discover_and_mask_batched(state, level: int,
         still_active = []
         for k, i in enumerate(active):
             tracker = trackers[i]
-            if not fired[k]:
+            row_ids, examined, present = scans[i]
+            row_fired = fired[k]
+            if present is not None:
+                row_fired = [p for p in row_fired if present[p]]
+            if not row_fired:
                 # No window fired for this participant: the scan would charge
                 # every non-suspect label in full and discover nothing.
                 meters[i].charge(quiet_scan_charge(
-                    index, level - 1, parents_size, suspect_sets[k],
-                    2 * branch))
+                    row_ids, examined, suspect_sets[k], 2 * branch))
                 continue
             discovered: Set[ProcessorId] = set()
             charge = _scan_fired_labels(
-                index, level - 1, fired[k],
+                labels, row_ids, row_fired,
                 suspect_sets[k], discovered, 2 * branch)
             meters[i].charge(charge)
             fresh = {pid for pid in discovered if pid not in tracker}
@@ -285,6 +274,8 @@ def discover_and_mask_batched(state, level: int,
                 if entry is None:
                     continue
                 slots = entry[0]
+                if stored is not None:
+                    slots = slots[stored[i, slots]]
                 row[slots] = masked_code
                 rewritten += int(slots.size)
             meters[i].charge(rewritten)

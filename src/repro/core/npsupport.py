@@ -249,22 +249,44 @@ class BatchedEIGState:
     :class:`~repro.runtime.messages.NumpyLevelMessage` is immutable from the
     moment it is broadcast.
 
-    **Invariant: levels are stored whole.**  Roots come from the coercion
-    rule and appended levels from the batched gather (which substitutes the
-    default), so :data:`MISSING_CODE` never appears in a stack.  The batched
-    discovery and conversion kernels rely on this to skip the
-    missing-substitution passes; callers appending stacks by other means must
-    uphold it.
+    **Levels are stored whole** (``whole`` is ``True``).  Roots come from
+    the coercion rule and appended levels from the batched gather (which
+    substitutes the default), so :data:`MISSING_CODE` never appears in a
+    stack, and the batched kernels skip every absent-node pass.  The one
+    exception is a one-row state over a per-processor tree built through
+    ``store`` (:meth:`of_tree`), which may hold absent nodes: it has
+    ``whole`` set to ``False``, and the kernels then apply the reference
+    rules for absent nodes — they vote as the default
+    (:meth:`voting_stack`), absent parents are not examined, and masking
+    rewrites stored slots only.
     """
 
-    __slots__ = ("index", "count", "_levels", "_leaf_votes")
+    __slots__ = ("index", "count", "whole", "_levels", "_leaf_votes")
 
     def __init__(self, index, count: int) -> None:
         require_numpy()
         self.index = index
         self.count = count
+        self.whole = True
         self._levels: List[object] = []
         self._leaf_votes = None
+
+    @classmethod
+    def of_tree(cls, tree) -> "BatchedEIGState":
+        """*tree*'s levels as a one-row state, by reference.
+
+        The inverse of :meth:`row_tree`: a per-processor
+        :class:`~repro.core.tree.NumpyEIGTree` already has the layout of one
+        row (same index, same int32 codes), so each contiguous level buffer
+        reshaped to ``(1, size)`` is a view, and what the batched kernels
+        write into the state (masking) lands in the tree.
+        """
+        state = cls(tree.index, 1)
+        for level in range(1, tree.num_levels + 1):
+            state.append_level(tree.raw_level(level).reshape(1, -1))
+            if tree.level_size(level) != tree.index.level_size(level):
+                state.whole = False
+        return state
 
     @property
     def num_levels(self) -> int:
@@ -301,6 +323,16 @@ class BatchedEIGState:
                 f"(row-major rows back the broadcast views and vote windows)")
         self._levels.append(stack)
         self._leaf_votes = None
+
+    def voting_stack(self, level: int):
+        """The *level* stack as the rules read it: absent nodes vote as the
+        default.  The stack itself, by reference, unless the state is not
+        :attr:`whole`."""
+        stack = self._levels[level - 1]
+        if self.whole:
+            return stack
+        np = require_numpy()
+        return np.where(stack == MISSING_CODE, DEFAULT_CODE, stack)
 
     def set_leaf_votes(self, best, best_count) -> None:
         """Record the final ``(rows, parents)`` child-window votes of the leaf.

@@ -28,9 +28,9 @@ from collections import Counter
 from typing import Callable, Dict, List, Optional
 
 from .fault_discovery import window_majority
-from .npsupport import (BOTTOM_CODE, DEFAULT_CODE, MISSING_CODE,
-                        SMALL_KERNEL_ELEMENTS, VALUE_CODEC, require_numpy,
-                        strict_majority, vote_windows, window_tallies)
+from .npsupport import (BOTTOM_CODE, DEFAULT_CODE, SMALL_KERNEL_ELEMENTS,
+                        VALUE_CODEC, BatchedEIGState, require_numpy,
+                        strict_majority, window_tallies)
 from .sequences import LabelSequence
 from .tree import MISSING, FlatEIGTree, InfoGatheringTree
 from .values import BOTTOM, DEFAULT_VALUE, Value, is_bottom
@@ -209,15 +209,14 @@ def flat_resolve_root(tree: FlatEIGTree, conversion: str, t: int) -> Value:
 
 
 # ---------------------------------------------------------------------------
-# The numpy engine's conversion: one bincount majority vote per level
+# The numpy engines' conversion: one bincount majority vote per level stack
 # ---------------------------------------------------------------------------
 
 def _vote_level_select(np, windows, branch: int, majority: bool,
                        threshold: int, num_codes: int, dtype):
     """One level's conversion votes: ``windows`` → per-window converted code.
 
-    The select shared by the per-processor and the batched numpy conversions:
-    a single ``bincount`` tallies every ``(rows, branch)`` window, then
+    A single ``bincount`` tallies every ``(rows, branch)`` window, then
     ``resolve`` keeps strict majorities (default otherwise) and ``resolve'``
     zeroes the ``⊥`` column and demands a unique ``t + 1``-threshold winner.
     """
@@ -235,14 +234,29 @@ def _vote_level_select(np, windows, branch: int, majority: bool,
 
 
 def numpy_resolve_levels(tree, conversion: str, t: int) -> List[object]:
-    """Vectorized :func:`flat_resolve_levels` over an ndarray-backed tree.
+    """:func:`flat_resolve_levels` over an ndarray-backed tree.
 
     Returns ``levels`` with ``levels[ℓ - 1]`` an int **code** ndarray (the
     codes of :data:`~repro.core.npsupport.VALUE_CODEC`; decode the root with
     the codec, or the whole pass with :func:`flat_converted_dict`, which
-    accepts code arrays).  Per level the child buffer is reshaped to
-    ``(parents, branch)`` and a single ``bincount`` over offset codes yields
-    every parent's vote tally at once:
+    accepts code arrays).  The pass is a one-row call of
+    :func:`batched_resolve_levels` over the tree's own level buffers
+    (:meth:`~repro.core.npsupport.BatchedEIGState.of_tree`), charged to the
+    tree's meter.
+    """
+    levels, charge = batched_resolve_levels(BatchedEIGState.of_tree(tree),
+                                            conversion, t)
+    tree.meter.charge(charge)
+    return [stack[0] for stack in levels]
+
+
+def batched_resolve_levels(state, conversion: str, t: int):
+    """Whole-run conversion: :func:`flat_resolve_levels` over stacked levels.
+
+    *state* is a :class:`~repro.core.npsupport.BatchedEIGState`; every
+    participant's tree is converted at once by reshaping each level stack to
+    ``(participants · parents, branch)`` and running one vote select — one
+    ``bincount`` per level for the entire run:
 
     * ``resolve`` keeps the per-row argmax when it is a strict majority of the
       branch, else the default — a strict majority is unique, so argmax ties
@@ -250,47 +264,13 @@ def numpy_resolve_levels(tree, conversion: str, t: int) -> List[object]:
     * ``resolve'`` zeroes the ``⊥`` column and takes the row's value iff
       exactly one code reaches the ``t + 1`` threshold, else ``⊥``.
 
-    Semantics and meter accounting are identical to both other engines (two
-    units per leaf, one per child of every internal node, charged in bulk).
-    """
-    np = require_numpy()
-    if conversion not in ("resolve", "resolve_prime"):
-        raise ValueError(f"unknown conversion function {conversion!r}")
-    height = tree.num_levels
-    if height < 1:
-        raise KeyError("cannot resolve an empty tree")
-    index = tree.index
-    leaf_buffer = tree.raw_level(height)
-    levels: List[object] = [None] * height
-    levels[height - 1] = np.where(leaf_buffer == MISSING_CODE,
-                                  DEFAULT_CODE, leaf_buffer)
-    charge = 2 * len(leaf_buffer)
-    majority = conversion == "resolve"
-    threshold = t + 1
-    num_codes = len(VALUE_CODEC)
-    for level in range(height - 1, 0, -1):
-        children = levels[level]
-        branch = index.branch(level)
-        size = index.level_size(level)
-        charge += size * branch
-        levels[level - 1] = _vote_level_select(
-            np, vote_windows(children, size, branch), branch, majority,
-            threshold, num_codes, children.dtype)
-    tree.meter.charge(charge)
-    return levels
-
-
-def batched_resolve_levels(state, conversion: str, t: int):
-    """Whole-run conversion: :func:`numpy_resolve_levels` over stacked levels.
-
-    *state* is a :class:`~repro.core.npsupport.BatchedEIGState`; every
-    participant's tree is converted at once by reshaping each level stack to
-    ``(participants · parents, branch)`` and running the shared vote select —
-    one ``bincount`` per level for the entire run.  Returns
+    Leaves resolve to their stored value, absent leaves to the default
+    (:meth:`~repro.core.npsupport.BatchedEIGState.voting_stack`).  Returns
     ``(levels, per_participant_charge)`` where ``levels[ℓ - 1]`` is the
     ``(participants, level_size)`` converted code stack of level ``ℓ`` and the
-    charge equals what :func:`numpy_resolve_levels` bills one processor (the
-    caller charges each participant's meter).
+    charge is the reference total for one processor — two units per leaf,
+    one per child of every internal node (the caller charges each
+    participant's meter).
 
     Under ``resolve`` the leaf windows' vote is the one the discovery
     fixpoint of the same round already tallied
@@ -306,11 +286,8 @@ def batched_resolve_levels(state, conversion: str, t: int):
         raise KeyError("cannot resolve an empty tree")
     index = state.index
     count = state.count
-    # Batched levels are stored whole (the BatchedEIGState invariant), so
-    # the leaves resolve to themselves — no MISSING substitution pass.
-    leaf_stack = state.raw_stack(height)
     levels: List[object] = [None] * height
-    levels[height - 1] = leaf_stack
+    levels[height - 1] = state.voting_stack(height)
     charge = 2 * index.level_size(height)
     majority = conversion == "resolve"
     threshold = t + 1

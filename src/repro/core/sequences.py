@@ -295,9 +295,8 @@ class SequenceIndex:
     def ids_by_label_py(self, level: int) -> Dict[ProcessorId, List[int]]:
         """Label → ascending list of the *level* node-ids ending in that label.
 
-        Plain-python twin of :meth:`ids_by_label_np` (the same interned
-        ``slots`` lists, no copies), used by the batched discovery passes'
-        fired-row fast scan; cached once per level per shape.
+        The same interned ``slots`` lists, no copies; used by the
+        discovery passes' fired-id scan and cached once per level per shape.
         """
         cached = self._np_tables.get(("ids_py", level))
         if cached is None:
@@ -309,27 +308,6 @@ class SequenceIndex:
                           for label, (slots, _parents)
                           in self.slots_for(level).items()}
             self._np_tables[("ids_py", level)] = cached
-        return cached
-
-    def ids_by_label_np(self, level: int):
-        """Label → ndarray of the *level* node-ids ending in that label.
-
-        Level 1 is the root-only special case (its ``slots_for`` table is
-        empty because the root has no parent): the single node-id 0 belongs to
-        the source's label.
-        """
-        cached = self._np_tables.get(("ids", level))
-        if cached is None:
-            from .npsupport import require_numpy
-            np = require_numpy()
-            if level == 1:
-                self.ensure_level(1)
-                cached = {self.source: np.asarray([0], dtype=np.int64)}
-            else:
-                cached = {label: slots
-                          for label, (slots, _parents)
-                          in self.slots_np(level).items()}
-            self._np_tables[("ids", level)] = cached
         return cached
 
     def node_id(self, seq: Sequence[ProcessorId]) -> int:

@@ -525,9 +525,11 @@ class NumpyEIGTree(FlatEIGTree):
     an ``int32`` ndarray of codes of the process-wide
     :data:`~repro.core.npsupport.VALUE_CODEC` (``MISSING_CODE`` marks absent
     nodes).  On top of the array buffers, gathering becomes fancy-indexed
-    assignment and the conversion/discovery rules become per-level
-    ``bincount`` majority votes — see :func:`repro.core.resolve.numpy_resolve_levels`
-    and :func:`repro.core.fault_discovery.discover_at_level_numpy`.  The
+    assignment (:func:`repro.core.fault_masking.gather_level_numpy`), and the
+    tree has the layout of one row of a
+    :class:`~repro.core.npsupport.BatchedEIGState`, so the conversion and
+    discovery rules run through the batched kernels on a one-row view of its
+    levels (:meth:`~repro.core.npsupport.BatchedEIGState.of_tree`).  The
     dict-shaped accessors decode on demand for tests and reporting, and the
     meter accounting is identical to both other engines by construction.
     """

@@ -38,11 +38,11 @@ per-processor engines:
   level stack (a broadcast *is* the sender's level buffer); faulty messages
   become extra claim rows (deduplicated per message object, zero-copy for
   aligned :class:`~repro.runtime.messages.NumpyLevelMessage` broadcasts);
-* discovery, masking, and conversion reuse the per-processor numpy kernels'
-  shared internals row by row (see :mod:`repro.core.fault_discovery` and
-  :mod:`repro.core.resolve`), including the reference meter accounting
-  (shadow rows charge throwaway meters — nothing ever reads a shadow's
-  units).
+* discovery, masking, and conversion run the whole-stack kernels of
+  :mod:`repro.core.fault_masking`, :mod:`repro.core.fault_discovery` and
+  :mod:`repro.core.resolve` (the per-processor numpy engine runs the same
+  kernels on one row), including the reference meter accounting (shadow
+  rows charge throwaway meters — nothing ever reads a shadow's units).
 
 Eligibility: :func:`batched_supported` accepts exactly the specs whose
 processors are plain :class:`~repro.core.shifting.ShiftingEIGProcessor`

@@ -28,6 +28,7 @@ from repro.api.jsonl import DurableLog
 from repro.api.request import SweepSpec
 from repro.api.sweep import (checkpoint_log, compact_checkpoint,
                              read_checkpoint, run_sweep, scan_checkpoint)
+from repro.core.engine import numpy_available
 from repro.runtime.errors import CheckpointWriteError, ConfigurationError
 from repro.serve import AgreementService, ServeJournal
 from repro.stats import McCell, McSpec, read_mc_checkpoint, run_mc
@@ -407,6 +408,8 @@ class TestFormatFixtures:
         assert fixture_bytes("serve.jsonl") == (fixtures
                                                / "serve.jsonl").read_bytes()
 
+    @pytest.mark.skipif(not numpy_available(), reason="the fixture's runs "
+                        "record engine_resolved 'batched', which needs numpy")
     def test_appending_to_a_fixture_extends_it_byte_for_byte(self, fixtures):
         sweep, _ = self.specs()
         path = str(fixtures / "sweep.jsonl")

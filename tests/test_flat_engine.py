@@ -34,6 +34,11 @@ from repro.core.algorithm_c import AlgorithmCSpec
 from repro.core.hybrid import HybridSpec
 from repro.core.engine import numpy_available, use_engine
 from repro.core.exponential import ExponentialSpec
+from repro.core.fault_discovery import (FaultTracker,
+                                        discover_during_conversion,
+                                        discover_during_conversion_flat,
+                                        discover_during_conversion_numpy)
+from repro.core.fault_masking import discover_and_mask
 from repro.core.protocol import ProtocolConfig
 from repro.core.resolve import (flat_converted_dict, flat_resolve_levels,
                                 numpy_resolve_levels, resolve, resolve_all,
@@ -41,6 +46,7 @@ from repro.core.resolve import (flat_converted_dict, flat_resolve_levels,
 from repro.core.sequences import sequences_of_length
 from repro.core.tree import make_tree
 from repro.core.values import DEFAULT_VALUE, is_bottom
+from repro.runtime.metrics import ComputationMeter
 from repro.runtime.simulation import run_agreement
 
 ADVERSARY_NAMES = sorted(adversary_registry())
@@ -69,17 +75,19 @@ def root_of(tree, levels):
 
 
 def build_tree_pair(draw, n, height, repetitions, engine, domain_size=3,
-                    missing_rate=5):
+                    missing_rate=5, internal_missing=False):
     """Build one reference tree and one array tree with identical (randomly
-    chosen, possibly sparse) contents and return them."""
+    chosen, possibly sparse) contents and return them.  Leaves may be
+    absent; with *internal_missing*, so may every node below the root."""
     processors = tuple(range(n))
     reference = make_tree(0, processors, "reference", repetitions=repetitions)
     array_tree = make_tree(0, processors, engine, repetitions=repetitions)
     for length in range(1, height + 1):
         for seq in sequences_of_length(length, 0, processors, repetitions):
             present = draw(st.integers(min_value=0, max_value=missing_rate))
-            if present == 0 and length == height:
-                continue  # a missing leaf: reads fall back to the default
+            if present == 0 and (length == height
+                                 or (internal_missing and length > 1)):
+                continue  # a missing node: reads fall back to the default
             value = draw(st.integers(min_value=0, max_value=domain_size - 1))
             reference.store(seq, value)
             array_tree.store(seq, value)
@@ -151,6 +159,68 @@ class TestBatchedResolveAgainstOracle:
         resolve_levels(array_tree, engine, conversion, t=2)
         assert (reference.meter.units - before_reference
                 == array_tree.meter.units - before_array)
+
+
+def _partial_tree_case(data, engine, internal_missing):
+    """A reference/array tree pair with absent leaves (and, with
+    *internal_missing*, absent internal nodes), plus ``t`` and an initial
+    ``L_p`` of at most ``t`` suspects."""
+    repetitions = data.draw(st.booleans())
+    n = data.draw(st.integers(min_value=4, max_value=8))
+    height = data.draw(st.integers(
+        min_value=2, max_value=3 if repetitions else min(4, n - 1)))
+    reference, array_tree = build_tree_pair(
+        data.draw, n, height, repetitions=repetitions, engine=engine,
+        missing_rate=3, internal_missing=internal_missing)
+    t = data.draw(st.integers(min_value=1, max_value=3))
+    suspects = data.draw(st.sets(st.integers(min_value=1, max_value=n - 1),
+                                 max_size=t))
+    return reference, array_tree, t, suspects
+
+
+@pytest.mark.parametrize("engine", ARRAY_ENGINES)
+class TestDiscoveryOnPartialTrees:
+    """Fault discovery over trees with absent nodes (built through
+    ``store``): absent children vote as the default, absent parents are not
+    examined, and masking rewrites — and charges — stored nodes only."""
+
+    @_settings
+    @given(data=st.data())
+    def test_discover_and_mask_matches_reference(self, data, engine):
+        reference, array_tree, t, suspects = _partial_tree_case(
+            data, engine, internal_missing=data.draw(st.booleans()))
+        height = reference.num_levels
+        observed = {}
+        for tree in (reference, array_tree):
+            tracker = FaultTracker(0, t)
+            tracker.add_all(sorted(suspects), 1)
+            before = tree.meter.units
+            newly = discover_and_mask(tree, height, tracker, round_number=2)
+            observed[tree is reference] = (
+                newly, tracker.history(), tree.meter.units - before,
+                [tree.level(level) for level in range(1, height + 1)])
+        assert observed[False] == observed[True]
+
+    @_settings
+    @given(data=st.data())
+    def test_discover_during_conversion_matches_reference(self, data, engine):
+        # Leaves only: with absent internal nodes the reference pass
+        # examines stored parents, the array passes every converted parent.
+        reference, array_tree, t, suspects = _partial_tree_case(
+            data, engine, internal_missing=False)
+        conversion = data.draw(st.sampled_from(["resolve", "resolve_prime"]))
+        expected_meter = ComputationMeter()
+        expected = discover_during_conversion(
+            reference, resolve_all(reference, conversion, t), set(suspects),
+            t, meter=expected_meter)
+        discover = (discover_during_conversion_numpy if engine == "numpy"
+                    else discover_during_conversion_flat)
+        meter = ComputationMeter()
+        found = discover(array_tree.index,
+                         resolve_levels(array_tree, engine, conversion, t),
+                         array_tree.num_levels, set(suspects), t, meter=meter)
+        assert found == expected
+        assert meter.units == expected_meter.units
 
 
 def _run_mode(mode, spec_factory, config, faulty, adversary, seed):

@@ -27,6 +27,7 @@ import threading
 import pytest
 
 from repro.api import RunRequest, execute
+from repro.core.engine import available_engines
 from repro.runtime.chaos import ChaosPolicy, FaultInjection, chaos_scope
 from repro.runtime.errors import (CheckpointWriteError, ConfigurationError,
                                   SupervisionExhaustedError)
@@ -289,9 +290,10 @@ class TestAgreementService:
     def test_engine_variants_share_one_cache_entry(self):
         service = AgreementService()
         first = service.handle(small_request(engine="fast"))
-        second = service.handle(small_request(engine="numpy"))
-        assert second.cached
-        assert second.outcome == first.outcome
+        for engine in available_engines():
+            again = service.handle(small_request(engine=engine))
+            assert again.cached, engine
+            assert again.outcome == first.outcome, engine
 
     def test_worker_death_chaos_is_self_healed_by_retry(self):
         service = AgreementService()
